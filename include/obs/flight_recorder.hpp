@@ -1,7 +1,7 @@
 #pragma once
 // Flight recorder: a bounded per-node binary ring of recent protocol
 // events (token rx/tx, ARQ retries, regeneration, resync, chain splices).
-// The runtime's role loops record into it from the protocol thread; the
+// The runtime's role loops record into it from their loop thread; the
 // daemon (or a test) snapshots it from another thread and renders the ring
 // as a single-line JSON dump. Certain events — watchdog-driven token
 // regeneration, order violations — additionally arm a dump request so a

@@ -1,37 +1,38 @@
 #pragma once
-// Threaded per-node event loop. Each node runs three threads behind the
-// annotated util::sync primitives:
-//   rx thread       — blocks in Transport::recv, pushes datagrams into the
-//                     inbox
-//   timer thread    — a fixed-cadence ticker (default 1ms) that marks a
-//                     tick pending, driving every wall-clock watchdog
-//   protocol thread — the only thread that touches node state: drains the
-//                     inbox into RuntimeNode::on_datagram and fires
-//                     RuntimeNode::on_tick when a tick is pending
-// The node's role logic is therefore single-threaded by construction; all
-// cross-thread state is RN_GUARDED_BY the loop mutex, and reading node
-// state from outside is safe only after stop() has joined the threads.
+// Per-node event loop: one thread per node, which alone touches node state.
+// Each pass computes the next due time — the earlier of the periodic tick
+// and the node's own next_deadline_us() — waits for a datagram until then
+// (Transport::recv), drains the socket without blocking until it is empty
+// or the due time has passed (so a flood never starves the timers), and
+// fires RuntimeNode::on_tick once the due time has passed. A token hold or
+// a source's next submit therefore fires at its own deadline, not at the
+// next tick. Reading node state from outside is safe only after stop() has
+// joined the thread.
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <thread>
 
 #include "runtime/transport.hpp"
-#include "util/annotations.hpp"
 #include "util/clock.hpp"
-#include "util/sync.hpp"
 
 namespace ringnet::runtime {
 
-/// Role logic driven by a NodeLoop. Every method is called from the
-/// protocol thread only, with `now_us` read from the injected clock.
+/// Role logic driven by a NodeLoop. Every method is called from the loop
+/// thread only, with `now_us` read from the injected clock.
 class RuntimeNode {
  public:
+  static constexpr std::int64_t kNoDeadline =
+      std::numeric_limits<std::int64_t>::max();
+
   virtual ~RuntimeNode() = default;
   virtual void on_start(std::int64_t now_us) = 0;
   virtual void on_datagram(const Datagram& d, std::int64_t now_us) = 0;
   virtual void on_tick(std::int64_t now_us) = 0;
+  /// The time the node next needs on_tick, if sooner than the periodic
+  /// tick; kNoDeadline leaves it to the tick.
+  virtual std::int64_t next_deadline_us() const { return kNoDeadline; }
 };
 
 class NodeLoop {
@@ -44,32 +45,20 @@ class NodeLoop {
   NodeLoop& operator=(const NodeLoop&) = delete;
 
   void start();
-  /// Signal all three threads and join them. Pending inbox datagrams are
-  /// drained through the node before the protocol thread exits. Idempotent.
+  /// Signal the loop thread and join it; it sees the flag within one wait
+  /// (at most one tick). Datagrams still queued are drained through the
+  /// node before the thread exits. Idempotent.
   void stop();
 
  private:
-  void rx_main();
-  void timer_main() RN_EXCLUDES(mu_);
-  void proto_main() RN_EXCLUDES(mu_);
+  void run();
 
   RuntimeNode& node_;
   Transport& transport_;
   util::Clock& clock_;
   const std::int64_t tick_us_;
-
-  util::Mutex mu_;
-  util::CondVar work_cv_;   // protocol thread: inbox growth, tick, stop
-  util::CondVar timer_cv_;  // timer thread: stop only
-  std::deque<Datagram> inbox_ RN_GUARDED_BY(mu_);
-  bool tick_pending_ RN_GUARDED_BY(mu_) = false;
-  bool stopping_ RN_GUARDED_BY(mu_) = false;
-  std::atomic<bool> stop_flag_{false};  // rx thread's lock-free exit check
-
-  std::thread rx_thread_;
-  std::thread timer_thread_;
-  std::thread proto_thread_;
-  bool started_ = false;
+  std::atomic<bool> stop_flag_{false};
+  std::thread thread_;
 };
 
 }  // namespace ringnet::runtime

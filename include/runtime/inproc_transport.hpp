@@ -68,7 +68,7 @@ class InProcTransport final : public Transport {
 
   std::optional<Datagram> recv(std::int64_t timeout_us) override {
     util::MutexLock lock(box_->mu);
-    if (box_->queue.empty()) {
+    if (box_->queue.empty() && timeout_us > 0) {
       (void)box_->cv.wait_for_us(box_->mu, timeout_us);
     }
     if (box_->queue.empty()) return std::nullopt;

@@ -6,8 +6,8 @@
 // token-regeneration on custody loss, ack-driven downlink retransmission
 // with MQ-floor gap skips, and uplink resubmission until assignment.
 //
-// Every method runs on the owning NodeLoop's protocol thread; reading a
-// node's state from outside is safe only after the loop has been stopped
+// Every method runs on the owning NodeLoop's thread; reading a node's
+// state from outside is safe only after the loop has been stopped
 // (NodeLoop::stop joins). All time comes from the injected util::Clock via
 // the loop — no direct wall-clock reads (RN006 boundary).
 
@@ -92,7 +92,7 @@ struct RuntimeCounters {
 /// Interned handles into a role's obs::Metrics registry — one per
 /// RuntimeCounters field, under the same names the sim oracle reports
 /// (obs/names.hpp), so counters line up across the two engines. Roles
-/// increment through these on the protocol thread; the daemon reads the
+/// increment through these on the loop thread; the daemon reads the
 /// atomic registry live from its main thread.
 struct RuntimeMetricIds {
   obs::Metrics::MetricId tokens_held = 0;
@@ -212,6 +212,11 @@ class BrRuntime final : public RuntimeNode {
   void on_start(std::int64_t now_us) override;
   void on_datagram(const Datagram& d, std::int64_t now_us) override;
   void on_tick(std::int64_t now_us) override;
+  /// While holding the token: its release deadline, so the token leaves
+  /// after token_hold_us rather than at the next periodic tick.
+  std::int64_t next_deadline_us() const override {
+    return has_token_ ? release_deadline_us_ : kNoDeadline;
+  }
 
   // Post-stop inspection. counters() assembles the struct from the atomic
   // registry, so it is also safe to sample live (values may be mid-burst).
@@ -406,6 +411,10 @@ class MhRuntime final : public RuntimeNode {
   void on_start(std::int64_t now_us) override;
   void on_datagram(const Datagram& d, std::int64_t now_us) override;
   void on_tick(std::int64_t now_us) override;
+  /// While the source has messages left to send: its next submit slot.
+  std::int64_t next_deadline_us() const override {
+    return sourcing() ? next_submit_us_ : kNoDeadline;
+  }
 
   // Post-stop inspection. counters() assembles the struct from the atomic
   // registry, so it is also safe to sample live (values may be mid-burst).
@@ -445,6 +454,9 @@ class MhRuntime final : public RuntimeNode {
     int attempts = 0;
   };
 
+  bool sourcing() const {
+    return start_seen_ && !stop_seen() && next_lseq_ < cfg_.msgs_to_send;
+  }
   void submit_one(std::int64_t now_us);
   void receive_ordered(const proto::DataMsg& msg, std::int64_t now_us);
   void receive_chain(const proto::DataMsg& msg, std::int64_t now_us);

@@ -1,6 +1,6 @@
 #pragma once
 // Loopback orchestrator: boots a full Figure-1 deployment (SS + BR ring +
-// APs + MH cells) as real processes-in-miniature — one threaded NodeLoop
+// APs + MH cells) as real processes-in-miniature — one NodeLoop thread
 // per node over UDP sockets on 127.0.0.1 (or the in-process transport twin
 // for deterministic tests) — runs a count-bounded scripted workload through
 // the supervisor handshake, and collects per-MH delivery logs plus

@@ -117,8 +117,9 @@ class Transport {
   /// buffer); true is no delivery guarantee.
   virtual bool send(NodeId to, const std::vector<std::uint8_t>& bytes) = 0;
 
-  /// Block up to timeout_us for one datagram; nullopt on timeout (and on
-  /// malformed frames, which are counted and dropped).
+  /// Block up to timeout_us for one datagram (timeout_us <= 0 only takes
+  /// one already queued); nullopt on timeout (and on malformed frames,
+  /// which are counted and dropped).
   virtual std::optional<Datagram> recv(std::int64_t timeout_us) = 0;
 
   std::uint64_t sent() const { return sent_; }
@@ -139,7 +140,7 @@ class Transport {
   explicit Transport(NodeId self) : self_(self) {}
 
   NodeId self_;
-  // Touched by the owning node's rx/protocol threads only; reads from the
+  // Touched by the owning node's loop thread only; reads from the
   // orchestrator happen after the loops have joined.
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;

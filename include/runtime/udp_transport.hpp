@@ -1,10 +1,12 @@
 #pragma once
 // Non-blocking UDP socket transport: one IPv4 datagram socket per node,
-// sendto/recvfrom with the runtime framing, poll()-based bounded receive.
-// Binding with port 0 takes an ephemeral port (the orchestrator builds the
-// address book from the actual bound ports, so parallel CI runs never
-// collide); a fixed port plus SO_REUSEADDR supports the daemon's static
-// port scheme and rebinding after a node restart.
+// sendto/recvfrom with the runtime framing, and a receive that waits with
+// microsecond resolution (ppoll). Binding with port 0 takes an ephemeral
+// port (the orchestrator builds the address book from the actual bound
+// ports, so parallel CI runs never collide); SO_REUSEADDR is set only for
+// a fixed port, which supports the daemon's static port scheme and
+// rebinding after a node restart. Set for port 0 it would let the kernel
+// give two live sockets the same ephemeral port.
 
 #include <cstdint>
 #include <memory>

@@ -41,7 +41,7 @@ const char* fr_event_name(FrEvent kind) {
 std::string FlightRecorder::dump_json(const std::string& node,
                                       const std::string& reason) const {
   // Snapshot under the lock, format outside it: formatting is O(ring) and
-  // must not stall the protocol thread's record() calls.
+  // must not stall the loop thread's record() calls.
   std::vector<FrRecord> events = snapshot();
   std::uint64_t recorded = 0;
   {

@@ -1,7 +1,6 @@
 #include "runtime/event_loop.hpp"
 
-#include <utility>
-#include <vector>
+#include <algorithm>
 
 namespace ringnet::runtime {
 
@@ -15,85 +14,36 @@ NodeLoop::NodeLoop(RuntimeNode& node, Transport& transport,
 NodeLoop::~NodeLoop() { stop(); }
 
 void NodeLoop::start() {
-  if (started_) return;
-  started_ = true;
-  proto_thread_ = std::thread([this] { proto_main(); });
-  rx_thread_ = std::thread([this] { rx_main(); });
-  timer_thread_ = std::thread([this] { timer_main(); });
+  if (thread_.joinable()) return;
+  stop_flag_.store(false, std::memory_order_relaxed);
+  thread_ = std::thread([this] { run(); });
 }
 
 void NodeLoop::stop() {
-  if (!started_) return;
+  if (!thread_.joinable()) return;
   stop_flag_.store(true, std::memory_order_relaxed);
-  {
-    util::MutexLock lock(mu_);
-    stopping_ = true;
-  }
-  work_cv_.notify_all();
-  timer_cv_.notify_all();
-  rx_thread_.join();
-  timer_thread_.join();
-  proto_thread_.join();
-  started_ = false;
+  thread_.join();
 }
 
-void NodeLoop::rx_main() {
-  // A bounded recv timeout keeps the exit latency low without a wake-up
-  // channel into the transport.
-  while (!stop_flag_.load(std::memory_order_relaxed)) {
-    auto d = transport_.recv(5000);
-    if (!d) continue;
-    {
-      util::MutexLock lock(mu_);
-      inbox_.push_back(std::move(*d));
-    }
-    work_cv_.notify_one();
-  }
-}
-
-void NodeLoop::timer_main() {
-  for (;;) {
-    bool fire = false;
-    {
-      util::MutexLock lock(mu_);
-      if (stopping_) return;
-      (void)timer_cv_.wait_for_us(mu_, tick_us_);
-      if (stopping_) return;
-      if (!tick_pending_) {
-        tick_pending_ = true;
-        fire = true;
-      }
-    }
-    if (fire) work_cv_.notify_one();
-  }
-}
-
-void NodeLoop::proto_main() {
+void NodeLoop::run() {
   node_.on_start(clock_.now_us());
-  std::vector<Datagram> batch;
-  for (;;) {
-    bool tick = false;
-    bool exiting = false;
-    {
-      util::MutexLock lock(mu_);
-      while (inbox_.empty() && !tick_pending_ && !stopping_) {
-        work_cv_.wait(mu_);
-      }
-      while (!inbox_.empty()) {
-        batch.push_back(std::move(inbox_.front()));
-        inbox_.pop_front();
-      }
-      tick = tick_pending_;
-      tick_pending_ = false;
-      exiting = stopping_;
+  std::int64_t next_tick_us = clock_.now_us() + tick_us_;
+  while (!stop_flag_.load(std::memory_order_relaxed)) {
+    std::int64_t due_us = std::min(next_tick_us, node_.next_deadline_us());
+    auto d = transport_.recv(due_us - clock_.now_us());
+    while (d) {
+      node_.on_datagram(*d, clock_.now_us());
+      // A datagram can move the node's deadline earlier (a token arrives).
+      due_us = std::min(due_us, node_.next_deadline_us());
+      if (clock_.now_us() >= due_us) break;
+      d = transport_.recv(0);
     }
-    for (const Datagram& d : batch) {
-      node_.on_datagram(d, clock_.now_us());
-    }
-    batch.clear();
-    if (tick && !exiting) node_.on_tick(clock_.now_us());
-    if (exiting) return;
+    const std::int64_t now_us = clock_.now_us();
+    if (now_us < due_us) continue;
+    node_.on_tick(now_us);
+    if (now_us >= next_tick_us) next_tick_us = now_us + tick_us_;
   }
+  while (auto d = transport_.recv(0)) node_.on_datagram(*d, clock_.now_us());
 }
 
 }  // namespace ringnet::runtime

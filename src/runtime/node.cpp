@@ -923,13 +923,9 @@ void MhRuntime::on_tick(std::int64_t now_us) {
     tr_.send_control(cfg_.ss, ControlMsg{ControlOp::Ready, 0});
     next_ready_us_ = now_us + cfg_.opts.handshake_resend_us;
   }
-  if (start_seen_ && !stop_seen()) {
-    int burst = 0;
-    while (next_lseq_ < cfg_.msgs_to_send && now_us >= next_submit_us_ &&
-           burst < 8) {
-      submit_one(now_us);
-      ++burst;
-    }
+  for (int burst = 0; burst < 8 && sourcing() && now_us >= next_submit_us_;
+       ++burst) {
+    submit_one(now_us);
   }
   // Uplink ARQ: resubmit until the message comes back ordered. The budget
   // only expires at the queue head so later lseqs can't starve earlier ones.

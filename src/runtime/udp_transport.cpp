@@ -9,6 +9,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <ctime>
 #include <stdexcept>
 #include <string>
 
@@ -45,8 +46,12 @@ void UdpTransport::open_and_bind(std::uint16_t port) {
     throw std::runtime_error(std::string("socket(): ") +
                              std::strerror(errno));
   }
-  const int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (port != 0) {
+    // Only for fixed ports (daemon static ports, rebind after a restart):
+    // with port 0 it lets the kernel hand two sockets the same port.
+    const int one = 1;
+    (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  }
   // A whole deployment shares one loopback: fan-out bursts (BR -> APs ->
   // cells) overflow the default ~200KB buffers, and every lost frame there
   // becomes ARQ traffic that amplifies the burst. Size for the storm.
@@ -103,11 +108,16 @@ bool UdpTransport::send(NodeId to, const std::vector<std::uint8_t>& bytes) {
 
 std::optional<Datagram> UdpTransport::recv(std::int64_t timeout_us) {
   if (fd_ < 0) return std::nullopt;
-  pollfd pfd{fd_, POLLIN, 0};
-  const int timeout_ms =
-      timeout_us <= 0 ? 0 : static_cast<int>((timeout_us + 999) / 1000);
-  const int ready = ::poll(&pfd, 1, timeout_ms);
-  if (ready <= 0 || (pfd.revents & POLLIN) == 0) return std::nullopt;
+  if (timeout_us > 0) {
+    // ppoll, not poll: a millisecond timeout would stretch every sub-ms
+    // wait (a token hold, a submit slot) to a whole millisecond.
+    pollfd pfd{fd_, POLLIN, 0};
+    const timespec ts{static_cast<time_t>(timeout_us / 1'000'000),
+                      static_cast<long>(timeout_us % 1'000'000) * 1000};
+    if (::ppoll(&pfd, 1, &ts, nullptr) <= 0 || (pfd.revents & POLLIN) == 0) {
+      return std::nullopt;
+    }
+  }
   const ssize_t n =
       ::recvfrom(fd_, rx_buf_.data(), rx_buf_.size(), 0, nullptr, nullptr);
   if (n <= 0) return std::nullopt;

@@ -2,17 +2,25 @@
 // deployment must boot through the supervisor handshake, deliver the whole
 // scripted workload in total order, and survive scripted token loss (the
 // per-hop ARQ and, when that is exhausted, the leader's regeneration
-// watchdog). Plus direct single-threaded MhRuntime unit coverage for the
-// reordering buffer and gap-skip accounting.
+// watchdog). NodeLoop unit coverage: one thread per node, ticks at the
+// node's own deadline and under a flood, stop() draining the queue. Plus
+// direct single-threaded MhRuntime unit coverage for the reordering buffer
+// and gap-skip accounting.
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "proto/messages.hpp"
 #include "ringnet_test.hpp"
 #include "runtime/inproc_transport.hpp"
 #include "runtime/node.hpp"
 #include "runtime/orchestrator.hpp"
+#include "util/clock.hpp"
+#include "util/sync.hpp"
 
 using namespace ringnet;
 using namespace ringnet::runtime;
@@ -78,7 +86,170 @@ MhConfig chain_cfg(NodeId self) {
   return cfg;
 }
 
+/// Scriptable RuntimeNode for the NodeLoop unit tests. Records the thread
+/// of every callback; the counters are atomic so the test thread can poll
+/// them while the loop runs, everything else is read after stop().
+struct ScriptedNode final : RuntimeNode {
+  explicit ScriptedNode(util::Clock& c) : clock(c) {}
+
+  util::Clock& clock;
+  // Script (set before start).
+  std::int64_t deadline_after_start_us = -1;  // one-shot deadline, or none
+  std::int64_t busy_us_per_datagram = 0;      // simulated handler cost
+  std::int64_t hold_first_datagram_us = 0;    // stall on the first one
+
+  // Observations.
+  std::atomic<std::uint64_t> datagrams{0};
+  std::atomic<std::uint64_t> ticks{0};
+  std::int64_t start_us = -1;
+  std::int64_t first_tick_us = -1;
+  std::int64_t deadline_us = kNoDeadline;
+  std::vector<std::thread::id> threads;
+
+  void on_start(std::int64_t now_us) override {
+    threads.push_back(std::this_thread::get_id());
+    start_us = now_us;
+    if (deadline_after_start_us >= 0) {
+      deadline_us = now_us + deadline_after_start_us;
+    }
+  }
+  void on_datagram(const Datagram&, std::int64_t now_us) override {
+    threads.push_back(std::this_thread::get_id());
+    const std::int64_t stall =
+        datagrams.load() == 0 ? hold_first_datagram_us : busy_us_per_datagram;
+    while (clock.now_us() - now_us < stall) {
+    }
+    datagrams.fetch_add(1);
+  }
+  void on_tick(std::int64_t now_us) override {
+    threads.push_back(std::this_thread::get_id());
+    if (first_tick_us < 0) first_tick_us = now_us;
+    deadline_us = kNoDeadline;
+    ticks.fetch_add(1);
+  }
+  std::int64_t next_deadline_us() const override { return deadline_us; }
+};
+
+/// Token frames between BRs, stamped on the sending thread.
+struct TokenLog {
+  util::Mutex mu;
+  std::vector<std::pair<std::int64_t, NodeId>> sends RN_GUARDED_BY(mu);
+};
+
 }  // namespace
+
+// --- NodeLoop over InProc ---------------------------------------------------
+
+TEST(node_loop_runs_every_callback_on_one_thread) {
+  InProcNet net;
+  auto rx = net.attach(NodeId{1});
+  auto tx = net.attach(NodeId{2});
+  util::WallClock clock;
+  ScriptedNode node(clock);
+  NodeLoop loop(node, *rx, clock, 1000);
+  loop.start();
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    CHECK(tx->send_control(NodeId{1}, ControlMsg{ControlOp::Ready, i}));
+    clock.sleep_us(500);
+  }
+  loop.stop();
+  CHECK_EQ(node.datagrams.load(), 20u);
+  CHECK(node.ticks.load() > 0);
+  CHECK(!node.threads.empty());
+  const auto loop_thread = node.threads.front();
+  CHECK(loop_thread != std::this_thread::get_id());
+  CHECK(std::all_of(node.threads.begin(), node.threads.end(),
+                    [&](std::thread::id t) { return t == loop_thread; }));
+}
+
+TEST(node_loop_ticks_at_node_deadline_before_periodic_tick) {
+  InProcNet net;
+  auto rx = net.attach(NodeId{1});
+  util::WallClock clock;
+  ScriptedNode node(clock);
+  node.deadline_after_start_us = 200;
+  NodeLoop loop(node, *rx, clock, 50'000);
+  loop.start();
+  const std::int64_t give_up = clock.now_us() + 200'000;
+  while (node.ticks.load() == 0 && clock.now_us() < give_up) {
+    clock.sleep_us(1000);
+  }
+  loop.stop();
+  CHECK(node.first_tick_us >= 0);
+  const std::int64_t waited = node.first_tick_us - node.start_us;
+  CHECK(waited >= 200);
+  CHECK(waited < 20'000);  // the periodic tick would be 50 ms out
+}
+
+TEST(node_loop_ticks_keep_firing_under_flood) {
+  InProcNet net;
+  auto rx = net.attach(NodeId{1});
+  auto tx = net.attach(NodeId{2});
+  util::WallClock clock;
+  ScriptedNode node(clock);
+  // Each datagram costs the loop 50us, and the flooder keeps a backlog of
+  // up to 256 queued, so the mailbox is never empty while it runs.
+  node.busy_us_per_datagram = 50;
+  NodeLoop loop(node, *rx, clock, 1000);
+  loop.start();
+  std::atomic<bool> flooding{true};
+  std::thread flooder([&] {
+    std::uint64_t sent = 0;
+    while (flooding.load()) {
+      if (sent - node.datagrams.load() < 256) {
+        (void)tx->send_control(NodeId{1}, ControlMsg{ControlOp::Ready, sent});
+        ++sent;
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  });
+  while (node.datagrams.load() == 0) clock.sleep_us(100);
+  const std::uint64_t ticks0 = node.ticks.load();
+  clock.sleep_us(100'000);
+  const std::uint64_t ticks1 = node.ticks.load();
+  const std::uint64_t handled = node.datagrams.load();
+  flooding.store(false);
+  flooder.join();
+  loop.stop();
+  CHECK(handled > 256);
+  // 100 ticks fall due in 100 ms; a fifth of them tolerates slow hosts.
+  CHECK(ticks1 - ticks0 >= 20);
+}
+
+TEST(node_loop_stop_drains_queue_within_one_tick) {
+  InProcNet net;
+  auto rx = net.attach(NodeId{1});
+  auto tx = net.attach(NodeId{2});
+  util::WallClock clock;
+  constexpr std::int64_t kTickUs = 50'000;
+  {
+    // The first datagram stalls the loop past its tick while nine more
+    // queue behind it, so the loop sees the stop flag with all nine still
+    // queued; stop() must hand them to the node before it returns.
+    ScriptedNode node(clock);
+    node.hold_first_datagram_us = 2 * kTickUs;
+    NodeLoop loop(node, *rx, clock, kTickUs);
+    loop.start();
+    CHECK(tx->send_control(NodeId{1}, ControlMsg{ControlOp::Ready, 0}));
+    clock.sleep_us(5'000);
+    for (std::uint64_t i = 1; i < 10; ++i) {
+      CHECK(tx->send_control(NodeId{1}, ControlMsg{ControlOp::Ready, i}));
+    }
+    loop.stop();
+    CHECK_EQ(node.datagrams.load(), 10u);
+  }
+  {
+    // An idle loop waits at most one tick, so stop() returns within one.
+    ScriptedNode node(clock);
+    NodeLoop loop(node, *rx, clock, kTickUs);
+    loop.start();
+    clock.sleep_us(5'000);
+    const std::int64_t t0 = clock.now_us();
+    loop.stop();
+    CHECK(clock.now_us() - t0 < 2 * kTickUs);
+  }
+}
 
 // --- full deployment over InProc + NodeLoop --------------------------------
 
@@ -151,6 +322,49 @@ TEST(token_destroyed_recovers_via_leader_regeneration) {
   for (const auto count : res.delivered_counts) {
     CHECK_EQ(count, spec.expected_total());
   }
+}
+
+TEST(br_releases_token_at_hold_deadline_not_tick) {
+  // With a 50 ms tick, a BR that accepted the token must still forward it
+  // after token_hold_us: NodeLoop wakes at BrRuntime::next_deadline_us().
+  auto spec = tiny_spec();
+  spec.num_brs = 2;
+  spec.tick_us = 50'000;
+  auto log = std::make_shared<TokenLog>();
+  auto clock = std::make_shared<util::WallClock>();
+  spec.drop_hook = [log, clock](NodeId from, NodeId to, const Datagram& d) {
+    if (from.tier() == Tier::BR && to.tier() == Tier::BR &&
+        is_token_frame(d)) {
+      TokenLog& tl = *log;
+      util::MutexLock lock(tl.mu);
+      tl.sends.emplace_back(clock->now_us(), from);
+    }
+    return false;
+  };
+  const auto res = run_loopback(scaled(spec));
+  CHECK(res.completed);
+  CHECK(!res.order_violation.has_value());
+  // Hold = from one BR's token send to the receiving BR's next send.
+  std::vector<std::int64_t> holds;
+  {
+    TokenLog& tl = *log;
+    util::MutexLock lock(tl.mu);
+    auto& sends = tl.sends;
+    std::sort(sends.begin(), sends.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (std::size_t i = 1; i < sends.size(); ++i) {
+      if (sends[i].second != sends[i - 1].second) {
+        holds.push_back(sends[i].first - sends[i - 1].first);
+      }
+    }
+  }
+  CHECK(holds.size() > 10);
+  if (holds.empty()) return;
+  std::nth_element(holds.begin(), holds.begin() + holds.size() / 2,
+                   holds.end());
+  const std::int64_t median = holds[holds.size() / 2];
+  CHECK(median >= spec.opts.token_hold_us);
+  CHECK(median < 10 * spec.opts.token_hold_us);
 }
 
 // --- MhRuntime unit coverage (single-threaded, no loop) --------------------

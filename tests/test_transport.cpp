@@ -1,15 +1,21 @@
 // Real-socket transport tests: framing round-trips over actual UDP
 // loopback sockets, rejection of truncated/corrupted datagrams (the fuzz
-// sweep must never crash or mis-parse), and port rebinding after a node
-// restart. Ephemeral ports throughout so parallel ctest runs never collide.
+// sweep must never crash or mis-parse), distinct ephemeral ports across
+// many live sockets, sub-millisecond receive waits, and port rebinding
+// after a node restart. Ephemeral ports throughout so parallel ctest runs
+// never collide.
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
+#include <unordered_set>
 #include <vector>
 
 #include "proto/messages.hpp"
 #include "ringnet_test.hpp"
 #include "runtime/transport.hpp"
 #include "runtime/udp_transport.hpp"
+#include "util/clock.hpp"
 #include "util/rng.hpp"
 
 using namespace ringnet;
@@ -166,6 +172,37 @@ TEST(udp_unknown_destination_counts_send_failure) {
   CHECK(!t.send_msg(NodeId{99}, proto::Message(sample_data())));
   CHECK_EQ(t.send_failures(), 1u);
   CHECK_EQ(t.sent(), 0u);
+}
+
+TEST(udp_ephemeral_ports_are_distinct) {
+  // Two live sockets must never share an ephemeral port: a deployment
+  // builds its address book from the bound ports, and a shared port sends
+  // one node's frames to another.
+  auto book = std::make_shared<AddressBook>();
+  std::vector<std::unique_ptr<UdpTransport>> open;
+  std::unordered_set<std::uint16_t> ports;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    open.push_back(std::make_unique<UdpTransport>(NodeId{i + 1}, book));
+    ports.insert(open.back()->local_endpoint().port);
+  }
+  CHECK_EQ(ports.size(), open.size());
+}
+
+TEST(udp_recv_waits_sub_millisecond) {
+  // A 200us wait must not be rounded up to a whole millisecond: the event
+  // loop waits exactly until the next token release or submit slot.
+  auto book = std::make_shared<AddressBook>();
+  UdpTransport t(NodeId{1}, book);
+  // The fastest of many waits, so a loaded host cannot fail the test.
+  util::WallClock clock;
+  std::int64_t fastest_us = 1'000'000;
+  for (int i = 0; i < 50; ++i) {
+    const std::int64_t t0 = clock.now_us();
+    CHECK(!t.recv(200).has_value());
+    fastest_us = std::min(fastest_us, clock.now_us() - t0);
+  }
+  CHECK(fastest_us >= 200);
+  CHECK(fastest_us < 900);
 }
 
 TEST(udp_rebind_same_port_after_restart) {
