@@ -210,7 +210,8 @@ int main(int argc, char** argv) {
                 count_mismatched);
   gate(count_mismatched == 0, buf);
   std::snprintf(buf, sizeof(buf),
-                "really-lost parity: runtime %llu vs oracle %llu",
+                "really-lost parity (mh.gap_skipped_msgs): runtime %llu vs "
+                "oracle %llu",
                 static_cast<unsigned long long>(rt.counters.really_lost),
                 static_cast<unsigned long long>(sim.really_lost));
   gate(rt.counters.really_lost == sim.really_lost, buf);

@@ -1,9 +1,11 @@
 // E10: google-benchmark micro suite — the per-operation costs of the data
-// structures on the protocol's hot paths: MQ store/deliver, WQ add/assign,
-// token WTSNP update/lookup, wire codec, event scheduler and histogram.
+// structures on the protocol's hot paths: MQ store/deliver, member chain
+// reassembly, WQ add/assign, token WTSNP update/lookup, wire codec, event
+// scheduler and histogram.
 
 #include <benchmark/benchmark.h>
 
+#include "core/delivery_chain.hpp"
 #include "core/message_queue.hpp"
 #include "core/protocol.hpp"
 #include "core/working_queue.hpp"
@@ -57,6 +59,40 @@ void BM_MessageQueueOutOfOrderWindow(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(base));
 }
 BENCHMARK(BM_MessageQueueOutOfOrderWindow)->Arg(8)->Arg(64)->Arg(512);
+
+void BM_MemberInboxInOrder(benchmark::State& state) {
+  // MH chain reassembly per delivery on the common path: every arrival is
+  // next in chain and takes the fast path past the hold map.
+  core::MemberInbox inbox;
+  GlobalSeq g = 0;
+  std::uint64_t delivered = 0;
+  for (auto _ : state) {
+    inbox.receive(make_data(g), [&](const proto::DataMsg&) { ++delivered; });
+    ++g;
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(static_cast<std::int64_t>(g));
+}
+BENCHMARK(BM_MemberInboxInOrder);
+
+void BM_MemberInboxReorder(benchmark::State& state) {
+  const auto window = static_cast<GlobalSeq>(state.range(0));
+  core::MemberInbox inbox;
+  GlobalSeq base = 0;
+  std::uint64_t delivered = 0;
+  for (auto _ : state) {
+    // Arrivals in reverse inside a window: all but the last are held, then
+    // the whole window drains in chain order.
+    for (GlobalSeq i = window; i-- > 0;) {
+      inbox.receive(make_data(base + i),
+                    [&](const proto::DataMsg&) { ++delivered; });
+    }
+    base += window;
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(static_cast<std::int64_t>(base));
+}
+BENCHMARK(BM_MemberInboxReorder)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_WorkingQueueAddAssign(benchmark::State& state) {
   const auto sources = static_cast<std::uint32_t>(state.range(0));
@@ -187,7 +223,7 @@ BENCHMARK(BM_TokenForwardRing);
 void BM_DistributeBatchDeliver(benchmark::State& state) {
   // The delivery fan-out path end to end: ordered batches distributed
   // ring-wide, forwarded down 64-member subtrees and delivered in gseq
-  // order — dominated by forward_down + mh_receive + MQ store/deliver.
+  // order — dominated by forward_down + mh_receive + chain reassembly.
   sim::Simulation sim(1);
   core::ProtocolConfig cfg;
   cfg.hierarchy.num_brs = 4;

@@ -15,7 +15,12 @@ inline constexpr const char* kTokenDupDestroyed = "token.duplicates_destroyed";
 inline constexpr const char* kTokenRegenerated = "token.regenerated";
 inline constexpr const char* kTokenDropped = "token.dropped";
 inline constexpr const char* kWqDropped = "wq.dropped";
+// One count per repair that loses at least one message: a member floor
+// skip, a chain restart over a pruned range, a chain head relinked past a
+// dropped predecessor, or a resend walk that splices entries out.
 inline constexpr const char* kGapsSkipped = "mh.gaps_skipped";
+// Messages those repairs gave up on (really lost). The runtime's
+// RuntimeCounters::really_lost reads this name too.
 inline constexpr const char* kGapSkippedMsgs = "mh.gap_skipped_msgs";
 inline constexpr const char* kMembershipApplied = "membership.applied";
 inline constexpr const char* kMembershipRelayed = "membership.relayed";
@@ -41,7 +46,6 @@ inline constexpr const char* kFloorAdvances = "arq.floor_advances";
 inline constexpr const char* kDuplicates = "mh.duplicates";
 inline constexpr const char* kUplinkRetx = "arq.uplink_retx";
 inline constexpr const char* kUplinkDropped = "arq.uplink_dropped";
-inline constexpr const char* kReallyLost = "mh.really_lost";
 inline constexpr const char* kMalformed = "transport.malformed";
 inline constexpr const char* kSsHeartbeats = "ss.heartbeats";
 

@@ -14,13 +14,13 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/delivery_chain.hpp"
 #include "core/types.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -82,7 +82,7 @@ struct RuntimeCounters {
   std::uint64_t acks_sent = 0;
   std::uint64_t uplink_retx = 0;       // resubmissions awaiting assignment
   std::uint64_t uplink_dropped = 0;    // resubmission budget exhausted
-  std::uint64_t really_lost = 0;       // gap-skipped deliveries (per MH)
+  std::uint64_t really_lost = 0;       // mh.gap_skipped_msgs
   std::uint64_t gaps_skipped = 0;
   std::uint64_t malformed = 0;         // undecodable proto payloads
 
@@ -133,8 +133,7 @@ struct DeliveredRec {
 };
 
 /// Base-offset buffer of ordered messages keyed by contiguous GlobalSeq:
-/// the BR's MQ retention window and the MH's reorder buffer. Slots below
-/// base() have been pruned (BR) or delivered (MH).
+/// the BR's MQ retention window. Slots below base() have been pruned.
 class GseqBuffer {
  public:
   GlobalSeq base() const { return base_; }
@@ -168,15 +167,6 @@ class GseqBuffer {
       ++dropped;
     }
     return dropped;
-  }
-
-  /// Advance base to `g`, discarding everything below (MH delivery prune).
-  void drop_below(GlobalSeq g) {
-    while (base_ < g && !slots_.empty()) {
-      slots_.pop_front();
-      ++base_;
-    }
-    if (base_ < g) base_ = g;
   }
 
  private:
@@ -248,14 +238,6 @@ class BrRuntime final : public RuntimeNode {
     LocalSeq next_expected = 0;
     std::unordered_map<LocalSeq, proto::DataMsg> pending;
   };
-  // One link of a member's delivery chain: the forwarded message's gseq and
-  // the chain coordinate (gseq + 1) of its predecessor on this member's
-  // chain. Entries are appended in forwarding order, so coordinates rise
-  // strictly along the log.
-  struct FwdEntry {
-    GlobalSeq gseq = 0;
-    GlobalSeq prev = 0;
-  };
   struct Member {
     NodeId ap = NodeId::invalid();
     // Acked watermark. Legacy mode: next expected gseq. Multi-group mode:
@@ -265,11 +247,9 @@ class BrRuntime final : public RuntimeNode {
     GlobalSeq prev_ack_wm = 0;  // watermark of the previous ack (stall check)
     std::uint32_t stalled_acks = 0;  // consecutive acks with no progress
     std::int64_t last_resend_us = kNeverUs;
-    // Multi-group chain state: memberships, the coordinate of the newest
-    // chain-forwarded message, and the unacked chain links.
+    // Multi-group chain state: memberships and the unacked chain links.
     proto::GroupSet groups;
-    GlobalSeq fwd_tail = 0;
-    std::deque<FwdEntry> fwd_log;
+    core::ChainLog chain;
   };
   struct TokenKey {
     std::uint64_t epoch = 0, serial = 0, rotation = 0;
@@ -302,6 +282,7 @@ class BrRuntime final : public RuntimeNode {
                          std::int64_t now_us);
   void handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
                         std::int64_t now_us);
+  bool stalled(Member& m, GlobalSeq wm, bool behind, std::int64_t now_us);
   void request_pull(GlobalSeq g, std::int64_t now_us);
 
   BrConfig cfg_;
@@ -458,11 +439,8 @@ class MhRuntime final : public RuntimeNode {
     return start_seen_ && !stop_seen() && next_lseq_ < cfg_.msgs_to_send;
   }
   void submit_one(std::int64_t now_us);
-  void receive_ordered(const proto::DataMsg& msg, std::int64_t now_us);
-  void receive_chain(const proto::DataMsg& msg, std::int64_t now_us);
   void deliver(const proto::DataMsg& msg, std::int64_t now_us);
   void record_latency(std::int64_t lat_us);
-  void gap_skip_to(GlobalSeq floor, std::int64_t now_us);
   void send_ack();
 
   MhConfig cfg_;
@@ -489,12 +467,7 @@ class MhRuntime final : public RuntimeNode {
   // Bounded by the scripted msgs_to_send.
   std::unordered_map<std::uint64_t, std::int64_t> submit_times_us_;
 
-  GseqBuffer buf_;
-  GlobalSeq next_expected_ = 0;
-  // Multi-group chain state: tail coordinate (gseq + 1 of the last chain
-  // delivery) and out-of-chain arrivals held keyed by their own coordinate.
-  GlobalSeq multi_tail_ = 0;
-  std::map<GlobalSeq, proto::DataMsg> held_;
+  core::MemberInbox inbox_;  // chain-order delivery, both modes
   std::vector<DeliveredRec> log_;
   std::uint64_t delivered_ = 0;
   std::vector<std::int64_t> lat_us_;

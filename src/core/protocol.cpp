@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -99,8 +100,7 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
   if (multi_) {
     group_members_.assign(
         n_br, std::vector<std::vector<NodeId>>(config_.groups.count));
-    member_fwd_tail_.assign(n_mh, 0);
-    member_fwd_log_.assign(n_mh, {});
+    member_chain_.assign(n_mh, {});
     member_seen_stamp_.assign(n_mh, 0);
     group_seq_high_.assign(config_.groups.count, 0);
     for (std::size_t i = 0; i < n_mh; ++i) {
@@ -584,7 +584,7 @@ void RingNetProtocol::forward_down(NodeId br, const proto::DataMsg& msg) {
     }
     const sim::SimTime delay = downlink_delay(mh, data_bytes());
     sim_.after(dom, delay,
-               [this, mh, frame] { mh_receive(mh, *frame, false); });
+               [this, mh, frame] { mh_receive(mh, *frame); });
   }
 }
 
@@ -609,32 +609,21 @@ void RingNetProtocol::forward_down_multi(NodeId br, const proto::DataMsg& msg) {
         // and log it for ack-driven resends, even when the radio is dark:
         // the chain must name every destined message or the member could
         // not tell a loss from a non-destination gseq hole.
-        copy.prev_chain = member_fwd_tail_[i];
-        member_fwd_tail_[i] = stamp;
-        auto& log = member_fwd_log_[i];
-        log.push_back(FwdEntry{msg.gseq, copy.prev_chain});
-        if (log.size() > config_.options.mq_retention + kResendWindow) {
-          // A member that never acks (crashed radio, endless blackout)
-          // must not grow O(total sent) state: drop the oldest unacked
-          // forward — the ack-driven resync splices the chain over it.
-          log.pop_front();
-        }
+        copy.prev_chain = member_chain_[i].stamp(
+            msg.gseq, config_.options.mq_retention + kResendWindow);
       }
-      if (!m.attached_) continue;  // repaired via the forward-log resend
+      if (!m.attached_) continue;  // repaired via the chain-log resend
       if (cell_blacked_out(m.ap_)) {
         sim_.metrics().incr(mid_.blackout_dropped);
         continue;
       }
       const sim::SimTime delay = downlink_delay(mh, data_bytes(copy));
-      sim_.after(dom, delay,
-                 [this, mh, copy] { mh_receive(mh, copy, false); });
+      sim_.after(dom, delay, [this, mh, copy] { mh_receive(mh, copy); });
     }
   }
 }
 
-void RingNetProtocol::mh_receive(NodeId mh, const proto::DataMsg& msg,
-                                 bool retransmission) {
-  (void)retransmission;
+void RingNetProtocol::mh_receive(NodeId mh, const proto::DataMsg& msg) {
   MhNode& m = mhs_[mh.index()];
   // Ownership guard: a frame scheduled before the MH migrated to another
   // subtree arrives in the old domain; it missed (resync repairs it).
@@ -654,42 +643,7 @@ void RingNetProtocol::mh_receive(NodeId mh, const proto::DataMsg& msg,
     deliver_at_mh(m, msg);
     return;
   }
-  if (multi_ && !msg.groups.empty()) {
-    mh_receive_multi(m, msg);
-    return;
-  }
-  if (!m.mq_.store(msg, sim_.now())) return;
-  for (const auto& d : m.mq_.deliverable()) {
-    m.mq_.mark_delivered(d.gseq);
-    deliver_at_mh(m, d);
-  }
-}
-
-void RingNetProtocol::mh_receive_multi(MhNode& m, const proto::DataMsg& msg) {
-  // Chain-order delivery: a frame is deliverable once its predecessor in
-  // the member's chain (prev_chain) has been delivered or settled
-  // (coordinate <= multi_tail_). Held frames wait keyed by their own
-  // coordinate; coordinates rise along the chain, so draining the smallest
-  // held frame while its link is satisfied replays the chain in order.
-  const GlobalSeq coord = msg.gseq + 1;
-  if (coord <= m.multi_tail_) return;  // duplicate (already delivered)
-  const auto [held, inserted] = m.multi_held_.emplace(coord, msg);
-  if (!inserted) {
-    // Same coordinate already held. A resend after the BR spliced an
-    // unrecoverable predecessor out of the chain carries a repaired
-    // (lower) link; keeping the stale held link would wait forever on a
-    // frame that can no longer arrive. Merge the lower link and re-drain;
-    // a byte-identical duplicate merges to a no-op and drains nothing.
-    if (msg.prev_chain >= held->second.prev_chain) return;  // duplicate
-    held->second.prev_chain = msg.prev_chain;
-  }
-  while (!m.multi_held_.empty()) {
-    auto it = m.multi_held_.begin();
-    if (it->second.prev_chain > m.multi_tail_) break;  // link missing
-    m.multi_tail_ = it->first;
-    deliver_at_mh(m, it->second);
-    m.multi_held_.erase(it);
-  }
+  m.inbox_.receive(msg, [&](const proto::DataMsg& d) { deliver_at_mh(m, d); });
 }
 
 void RingNetProtocol::deliver_at_mh(MhNode& node, const proto::DataMsg& msg) {
@@ -781,10 +735,9 @@ void RingNetProtocol::ack_tick(NodeId mh, std::uint64_t gen) {
   const NodeId br = ap_br_[m.ap_.index()];
   if (!br.valid() || !brs_[br.index()].alive_) return;
   sim_.metrics().incr(mid_.acks_sent);
-  // Multi-group members ack their chain tail instead of the MQ cursor —
-  // same coordinate space (a gseq+1 frontier), so the BR-side watermark,
-  // floor and pruning math is shared between the modes.
-  const GlobalSeq wm = multi_ ? m.multi_tail_ : m.mq_.next_expected();
+  // The chain tail is a gseq+1 frontier in both modes, so the BR-side
+  // watermark, floor and pruning math is shared between them.
+  const GlobalSeq wm = m.inbox_.tail();
   const sim::SimTime delay = uplink_delay(mh, kAckBytes);
   sim_.after(delay, [this, br, mh, wm] { br_receive_ack(br, mh, wm); });
 }
@@ -808,20 +761,19 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
   const GlobalSeq vf = b.mq_.valid_front();
   GlobalSeq cursor = next_expected;
   if (cursor < vf) {
-    const GlobalSeq skipped = vf - cursor;
     const sim::SimTime delay = downlink_delay(mh, kAckBytes);
-    sim_.after(delay, [this, mh, vf, skipped] {
+    sim_.after(delay, [this, mh, vf] {
       MhNode& m = mhs_[mh.index()];
       if (sim_.current_ctx() != mh_domain_[mh.index()]) return;
-      if (!m.attached_ || m.mq_.next_expected() >= vf) return;
-      m.mq_.skip_to(vf);
+      if (!m.attached_) return;
+      // Frames the member already holds below the floor still deliver;
+      // only the gseqs it never received count as lost.
+      const GlobalSeq lost = m.inbox_.skip_to(
+          vf, [&](const proto::DataMsg& d) { deliver_at_mh(m, d); });
+      if (lost == 0) return;
       sim_.metrics().incr(mid_.gaps_skipped);
-      sim_.metrics().incr(mid_.gap_skipped_msgs, skipped);
-      sim_.trace().record(sim::TraceKind::GapSkip, sim_.now(), mh, skipped);
-      for (const auto& d : m.mq_.deliverable()) {
-        m.mq_.mark_delivered(d.gseq);
-        deliver_at_mh(m, d);
-      }
+      sim_.metrics().incr(mid_.gap_skipped_msgs, lost);
+      sim_.trace().record(sim::TraceKind::GapSkip, sim_.now(), mh, lost);
     });
     cursor = vf;
   }
@@ -856,7 +808,7 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
           // while the BR sat memberless): serve the requesting member
           // directly so it is not wedged behind an unfillable gap.
           const sim::SimTime down = downlink_delay(mh, data_bytes());
-          sim_.after(down, [this, mh, m] { mh_receive(mh, m, true); });
+          sim_.after(down, [this, mh, m] { mh_receive(mh, m); });
         }
       });
       if (++resent >= kResendWindow) break;
@@ -867,19 +819,17 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
     if (!msg) continue;
     const sim::SimTime delay = downlink_delay(mh, data_bytes());
     sim_.metrics().incr(mid_.retransmits);
-    sim_.after(delay, [this, mh, m = *msg] { mh_receive(mh, m, true); });
+    sim_.after(delay, [this, mh, m = *msg] { mh_receive(mh, m); });
     if (++resent >= kResendWindow) break;
   }
 }
 
 void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
                                            GlobalSeq tail) {
-  // Resynchronize a multi-group member from its forward log: every unacked
-  // frame the BR chained to this member, with its original chain link, so
-  // a resend slots into the exact hole the member is waiting on. Entries
-  // whose payload has left both the MQ and the archive are spliced out of
-  // the chain (the successor inherits their link) and counted as really
-  // lost — the multi-mode analogue of the legacy gap skip.
+  // Resynchronize a multi-group member from its chain log: a resend keeps
+  // its original link, so it slots into the exact hole the member waits
+  // on. Entries whose payload has left both the MQ and the archive are
+  // spliced out and count as really lost (the legacy gap skip's analogue).
   BrNode& b = brs_[br.index()];
   const sim::SimTime grace =
       config_.options.ack_period + config_.options.retx_timeout;
@@ -908,55 +858,32 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
       });
     }
   }
-  auto& log = member_fwd_log_[mh.index()];
-  while (!log.empty() && log.front().gseq + 1 <= tail) log.pop_front();
-  if (log.empty()) return;
-  // The front's predecessor is no longer in the log; if the member has not
-  // settled it (link above the tail), it was dropped beyond recovery —
-  // reconnect the chain at the member's tail so it can advance.
-  if (log.front().prev > tail) {
-    log.front().prev = tail;
+  ChainLog& chain = member_chain_[mh.index()];
+  if (chain.ack(tail)) {
     sim_.metrics().incr(mid_.gaps_skipped);
     sim_.trace().record(sim::TraceKind::GapSkip, sim_.now(), mh, 1);
   }
-  std::size_t resent = 0;
-  for (auto it = log.begin(); it != log.end() && resent < kResendWindow;) {
-    const proto::DataMsg* stored = nullptr;
-    auto from_mq = b.mq_.fetch(it->gseq);
-    if (from_mq) {
-      stored = &*from_mq;
-    } else {
-      stored = archive_lookup(it->gseq);
-    }
-    if (!stored) {
-      // Payload unrecoverable: splice this frame out of the member's chain.
-      // The successor inherits the link — or, when the spliced entry was
-      // the newest forward, the chain head rolls back so the next forward
-      // is not chained behind a coordinate the member will never settle.
-      const FwdEntry dead = *it;
-      it = log.erase(it);
-      if (it != log.end()) {
-        it->prev = dead.prev;
-      } else if (member_fwd_tail_[mh.index()] == dead.gseq + 1) {
-        member_fwd_tail_[mh.index()] = dead.prev;
-      }
-      sim_.metrics().incr(mid_.gap_skipped_msgs);
-      continue;
-    }
-    const sim::SimTime at =
-        from_mq ? b.mq_.stored_at(it->gseq).value_or(sim::SimTime::zero())
-                : archive_stored_at(it->gseq);
-    if (at + grace > sim_.now()) {
-      ++it;
-      continue;  // normally in flight; do not duplicate it
-    }
-    proto::DataMsg copy = *stored;
-    copy.prev_chain = it->prev;
-    sim_.metrics().incr(mid_.retransmits);
-    const sim::SimTime delay = downlink_delay(mh, data_bytes(copy));
-    sim_.after(delay, [this, mh, copy] { mh_receive(mh, copy, true); });
-    ++resent;
-    ++it;
+  const std::size_t spliced = chain.resend(
+      kResendWindow,
+      [&](GlobalSeq g) {
+        const auto in_mq = b.mq_.stored_at(g);
+        if (!in_mq && !archive_lookup(g)) return ChainLog::Verdict::Lost;
+        const sim::SimTime at = in_mq ? *in_mq : archive_stored_at(g);
+        // Normally in flight: do not duplicate it.
+        return at + grace > sim_.now() ? ChainLog::Verdict::Wait
+                                       : ChainLog::Verdict::Send;
+      },
+      [&](GlobalSeq g, GlobalSeq link) {
+        const auto from_mq = b.mq_.fetch(g);
+        proto::DataMsg copy = from_mq ? *from_mq : *archive_lookup(g);
+        copy.prev_chain = link;
+        sim_.metrics().incr(mid_.retransmits);
+        const sim::SimTime delay = downlink_delay(mh, data_bytes(copy));
+        sim_.after(delay, [this, mh, copy] { mh_receive(mh, copy); });
+      });
+  if (spliced > 0) {
+    sim_.metrics().incr(mid_.gaps_skipped);
+    sim_.metrics().incr(mid_.gap_skipped_msgs, spliced);
   }
 }
 
@@ -969,10 +896,10 @@ void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
   // collides with a replayed frame) and are dropped at the member.
   const std::size_t i = mh.index();
   MhNode& m = mhs_[i];
-  const GlobalSeq tail = m.multi_tail_;
-  member_fwd_tail_[i] = tail;
-  member_fwd_log_[i].clear();
-  m.multi_held_.clear();  // old-chain holds can never link up again
+  const GlobalSeq tail = m.inbox_.tail();
+  ChainLog& chain = member_chain_[i];
+  chain.restart(tail);
+  m.inbox_.restart();
   if (!any_assigned_) return;
   if (tail < archive_base_) {
     // Messages between the tail and the archive's base fell out of
@@ -991,14 +918,13 @@ void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
     const proto::DataMsg* arch = archive_lookup(g);
     if (!arch || !arch->groups.intersects(mine)) continue;
     proto::DataMsg copy = *arch;
-    copy.prev_chain = member_fwd_tail_[i];
-    member_fwd_tail_[i] = g + 1;
-    member_fwd_log_[i].push_back(FwdEntry{g, copy.prev_chain});
+    // Uncapped: the whole replay is in flight, so no entry may fall out.
+    copy.prev_chain = chain.stamp(g, std::numeric_limits<std::size_t>::max());
     if (!m.attached_ || cell_blacked_out(m.ap_)) continue;
     sim_.metrics().incr(mid_.retransmits);
     const sim::SimTime delay = downlink_delay(mh, data_bytes(copy));
     sim_.after(mh_domain_[i], delay,
-               [this, mh, copy] { mh_receive(mh, copy, true); });
+               [this, mh, copy] { mh_receive(mh, copy); });
   }
 }
 
@@ -1383,7 +1309,6 @@ void RingNetProtocol::detach_from_cell(MhNode& m) {
         auto& slab = slabs[group_index(g)];
         slab.erase(std::remove(slab.begin(), slab.end(), m.id_), slab.end());
       }
-      member_fwd_log_[m.id_.index()].clear();  // chain restarts on attach
     }
     member_br_[m.id_.index()] = NodeId::invalid();
     BrNode& b = brs_[old_br.index()];
@@ -1519,15 +1444,13 @@ void RingNetProtocol::complete_attach(NodeId mh, NodeId ap) {
   if (br.valid()) {
     br_members_[br.index()].push_back(mh);
     member_br_[mh.index()] = br;
+    member_wm_[mh.index()] = m.inbox_.tail();
     if (multi_) {
       auto& slabs = group_members_[br.index()];
       for (GroupId g : mh_groups_[mh.index()]) {
         slabs[group_index(g)].push_back(mh);
       }
-      member_wm_[mh.index()] = m.multi_tail_;
       if (config_.options.ordered) resync_member_multi(br, mh);
-    } else {
-      member_wm_[mh.index()] = m.mq_.next_expected();
     }
     BrNode& b = brs_[br.index()];
     if (b.alive_) mark_acked(b);

@@ -62,6 +62,11 @@ TEST(zero_retention_causes_gap_skips) {
   CHECK(r.really_lost > 0);
   CHECK(r.min_delivery_ratio < 1.0);
   CHECK(!r.order_violation.has_value());  // gaps, never reordering
+  // Every message is either delivered or counted lost at every MH: frames
+  // a member already held inside a skipped range still deliver, and are
+  // not counted lost too.
+  const std::uint64_t n_mh = 2 * 6;  // num_brs x aps_per_ag x mhs_per_ap
+  CHECK_EQ(r.delivered_total + r.really_lost, r.total_sent * n_mh);
 }
 
 TEST(membership_views_reconverge) {

@@ -1,6 +1,7 @@
-// MessageQueue (MQ) semantics: contiguous delivery, worst-case
+// MessageQueue (MQ) semantics: the contiguous acked watermark, worst-case
 // out-of-order gap windows, duplicate rejection, retention / ValidFront
-// pruning, and gap skipping.
+// pruning, and cursor skipping. (Member-side delivery order is covered by
+// test_delivery_chain.)
 
 #include "core/message_queue.hpp"
 #include "ringnet_test.hpp"
@@ -23,26 +24,26 @@ proto::DataMsg mk(GlobalSeq g) {
 TEST(in_order_delivery) {
   core::MessageQueue mq(8);
   for (GlobalSeq g = 0; g < 5; ++g) CHECK(mq.store(mk(g), sim::SimTime{0}));
-  const auto batch = mq.deliverable();
-  CHECK_EQ(batch.size(), std::size_t{5});
+  CHECK_EQ(mq.size(), std::size_t{5});
+  CHECK_EQ(mq.next_expected(), GlobalSeq{0});
   for (GlobalSeq g = 0; g < 5; ++g) mq.mark_delivered(g);
   CHECK_EQ(mq.next_expected(), GlobalSeq{5});
-  CHECK(mq.deliverable().empty());
+  CHECK(mq.fetch(4).has_value());  // retained behind the watermark
 }
 
 TEST(worst_case_out_of_order_window) {
-  // Reverse arrival inside a 512-wide window: nothing is deliverable until
-  // gseq 0 lands, then the whole window opens at once.
+  // Reverse arrival inside a 512-wide window: the watermark cannot move
+  // until gseq 0 lands, then the whole window settles at once.
   core::MessageQueue mq(16);
   const GlobalSeq window = 512;
   for (GlobalSeq i = window; i-- > 1;) {
     CHECK(mq.store(mk(i), sim::SimTime{0}));
-    CHECK(mq.deliverable().empty());
+    mq.mark_delivered(i);
+    CHECK_EQ(mq.next_expected(), GlobalSeq{0});
   }
   CHECK_EQ(mq.size(), static_cast<std::size_t>(window - 1));
   CHECK(mq.store(mk(0), sim::SimTime{0}));
-  CHECK_EQ(mq.deliverable().size(), static_cast<std::size_t>(window));
-  for (GlobalSeq i = 0; i < window; ++i) mq.mark_delivered(i);
+  mq.mark_delivered(0);
   CHECK_EQ(mq.next_expected(), window);
   // Retention bounds what survives delivery.
   CHECK_EQ(mq.size(), std::size_t{16});
@@ -55,11 +56,10 @@ TEST(gap_list_and_max_seen) {
   mq.store(mk(3), sim::SimTime{0});
   mq.store(mk(5), sim::SimTime{0});
   CHECK_EQ(mq.max_seen(), GlobalSeq{5});
-  const auto missing = mq.missing_before(5);
-  CHECK_EQ(missing.size(), std::size_t{3});
-  CHECK_EQ(missing[0], GlobalSeq{1});
-  CHECK_EQ(missing[1], GlobalSeq{2});
-  CHECK_EQ(missing[2], GlobalSeq{4});
+  // Holes inside the span stay explicit: present exactly where stored.
+  for (GlobalSeq g = 0; g <= 5; ++g) {
+    CHECK_EQ(mq.contains(g), g == 0 || g == 3 || g == 5);
+  }
 }
 
 TEST(duplicates_rejected) {
@@ -94,13 +94,15 @@ TEST(valid_front_ignores_front_hole) {
 TEST(skip_to_advances_cursor) {
   core::MessageQueue mq(4);
   mq.store(mk(100), sim::SimTime{0});
-  CHECK(mq.deliverable().empty());
+  CHECK_EQ(mq.next_expected(), GlobalSeq{0});  // gap below blocks it
   mq.skip_to(100);
   CHECK_EQ(mq.next_expected(), GlobalSeq{100});
-  CHECK_EQ(mq.deliverable().size(), std::size_t{1});
+  CHECK(mq.contains(mq.next_expected()));  // the buffered entry is next
   // skip_to never rewinds.
   mq.skip_to(50);
   CHECK_EQ(mq.next_expected(), GlobalSeq{100});
+  mq.mark_delivered(100);
+  CHECK_EQ(mq.next_expected(), GlobalSeq{101});
 }
 
 TEST(stored_at_visible_until_pruned) {

@@ -31,6 +31,7 @@ import sys
 # and delivery, codec encode/decode (owned and zero-copy), metrics incr.
 # The bench_obs micros (ISSUE 10) gate instrumentation overhead: the same
 # hot paths with span recording off/on, plus the registry and recorder.
+# The MemberInbox micros gate MH chain reassembly per delivery.
 DEFAULT_GATES = [
     r"BM_TokenForwardRing",
     r"BM_DistributeBatchDeliver",
@@ -45,6 +46,7 @@ DEFAULT_GATES = [
     r"BM_DistributeBatchDeliver_Spans",
     r"BM_MetricsIncr",
     r"BM_FlightRecorderRecord",
+    r"BM_MemberInbox.*",
 ]
 
 
