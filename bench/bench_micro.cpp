@@ -1,14 +1,17 @@
 // E10: google-benchmark micro suite — the per-operation costs of the data
 // structures on the protocol's hot paths: MQ store/deliver, member chain
-// reassembly, WQ add/assign, token WTSNP update/lookup, wire codec, event
-// scheduler and histogram.
+// reassembly, the token step (WQ drain + WTSNP assignment), token WTSNP
+// update/lookup, wire codec, event scheduler and histogram.
 
 #include <benchmark/benchmark.h>
 
+#include <deque>
+#include <vector>
+
 #include "core/delivery_chain.hpp"
 #include "core/message_queue.hpp"
+#include "core/ordering.hpp"
 #include "core/protocol.hpp"
-#include "core/working_queue.hpp"
 #include "net/channel.hpp"
 #include "proto/messages.hpp"
 #include "sim/scheduler.hpp"
@@ -94,31 +97,40 @@ void BM_MemberInboxReorder(benchmark::State& state) {
 }
 BENCHMARK(BM_MemberInboxReorder)->Arg(8)->Arg(64)->Arg(512);
 
-void BM_WorkingQueueAddAssign(benchmark::State& state) {
-  const auto sources = static_cast<std::uint32_t>(state.range(0));
-  core::WorkingQueue wq;
-  std::vector<LocalSeq> next(sources, 0);
+void BM_TokenAssign(benchmark::State& state) {
+  // One BR token hold per iteration on an 8-BR ring: re-stage N uplink
+  // messages, then accept_token (rotation bump at the leader, own-row
+  // recycling) and assign_all (one WTSNP row, gseq and epoch per message).
+  // In steady state the token carries the other seven holders' N rows.
+  constexpr std::uint32_t kRing = 8;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<proto::DataMsg> staged(n);
+  for (std::size_t i = 0; i < n; ++i) staged[i].payload_size = 256;
+  core::SeqHighWater hw;
+  proto::OrderingToken token = hw.token(GroupId{1}, 1, 1);
+  std::deque<proto::DataMsg> wq;
+  std::uint32_t holder = 0;
+  LocalSeq lseq = 0;
   std::uint64_t items = 0;
+  GlobalSeq last = 0;
   for (auto _ : state) {
-    for (std::uint32_t s = 0; s < sources; ++s) {
-      proto::DataMsg m;
-      m.source = NodeId{s};
-      m.lseq = next[s]++;
-      wq.add(m);
+    const NodeId br = NodeId::make(Tier::BR, holder);
+    for (auto& m : staged) {
+      m.source = NodeId{holder};
+      m.lseq = lseq++;
     }
-    std::size_t dropped = 0;
-    auto out = wq.assign(
-        [](proto::DataMsg& m) {
-          m.gseq = m.lseq;
-          return true;
-        },
-        dropped);
-    items += out.size();
-    benchmark::DoNotOptimize(out);
+    wq.assign(staged.begin(), staged.end());
+    core::accept_token(token, br, holder == 0);
+    core::assign_all(token, br, wq, hw, [&](proto::DataMsg&& m) {
+      last = m.gseq;
+      ++items;
+    });
+    holder = (holder + 1) % kRing;
   }
+  benchmark::DoNotOptimize(last);
   state.SetItemsProcessed(static_cast<std::int64_t>(items));
 }
-BENCHMARK(BM_WorkingQueueAddAssign)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_TokenAssign)->Arg(1)->Arg(16)->Arg(256);
 
 void BM_TokenUpdateAndLookup(benchmark::State& state) {
   const auto ring = static_cast<std::uint32_t>(state.range(0));
@@ -196,7 +208,7 @@ BENCHMARK(BM_TokenDecodeView)->Arg(4)->Arg(32);
 void BM_TokenForwardRing(benchmark::State& state) {
   // The ordering loop with members and traffic stripped out: the token
   // circulates an 8-BR ring, so each iteration pays token_arrive (serial
-  // check, rotation bump, WTSNP prune, empty WQ assign, next-hop pick) and
+  // check, rotation bump, WTSNP prune, empty WQ drain, next-hop pick) and
   // the scheduler hop — the flat alive-ring/ring-pos hot path.
   sim::Simulation sim(1);
   core::ProtocolConfig cfg;

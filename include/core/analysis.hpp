@@ -24,6 +24,7 @@
 
 #include "core/config.hpp"
 #include "core/protocol.hpp"
+#include "proto/messages.hpp"
 
 namespace ringnet::core {
 
@@ -106,7 +107,8 @@ inline AnalyticBounds analyze(const ProtocolConfig& config) {
   const auto& h = config.hierarchy;
   const auto& opt = config.options;
   const std::uint32_t data_bytes = 41 + config.source.payload_size;
-  const std::uint32_t token_bytes = 41 + 32 * 8;  // token + typical WTSNP
+  const auto token_bytes =  // typical token: 8 WTSNP rows, one group
+      static_cast<std::uint32_t>(proto::token_wire_size(8, 0));
 
   AnalyticBounds b;
   const double hop_s = h.wan.one_way(token_bytes).seconds() +

@@ -33,8 +33,8 @@
 #include "core/config.hpp"
 #include "core/delivery_chain.hpp"
 #include "core/message_queue.hpp"
+#include "core/ordering.hpp"
 #include "core/types.hpp"
-#include "core/working_queue.hpp"
 #include "net/channel.hpp"
 #include "obs/span.hpp"
 #include "proto/messages.hpp"
@@ -200,7 +200,6 @@ class BrNode {
   bool alive() const { return alive_; }
   const GroupView& group_view() const { return view_; }
   MessageQueue& mq() { return mq_; }
-  WorkingQueue& wq() { return wq_; }
 
  private:
   friend class RingNetProtocol;
@@ -214,7 +213,7 @@ class BrNode {
   NodeId id_;
   bool alive_ = true;
   std::deque<proto::DataMsg> staging_;  // waiting for the next tau tick
-  WorkingQueue wq_;
+  std::deque<proto::DataMsg> wq_;       // WQ: waiting for the token
   MessageQueue mq_;
   GroupView view_;
   GlobalSeq acked_floor_ = 0;  // gseqs below are subtree-acked in mq_
@@ -458,8 +457,8 @@ class RingNetProtocol {
   // string lookup (see BM_MetricsIncr* in bench_micro for the delta).
   struct MetricIds {
     sim::Metrics::MetricId mh_delivered, acks_sent, retransmits, token_held,
-        token_dup_destroyed, token_regenerated, token_dropped, wq_dropped,
-        gaps_skipped, gap_skipped_msgs, membership_applied, membership_relayed,
+        token_dup_destroyed, token_regenerated, token_dropped, gaps_skipped,
+        gap_skipped_msgs, membership_applied, membership_relayed,
         ring_repairs, ring_rejoins, handoff_count, handoff_hot, handoff_cold,
         archive_pruned, churn_leaves, churn_rejoins, blackout_dropped,
         blackout_uplink_lost, park_dropped, buf_wq_peak, buf_mq_peak,
@@ -491,11 +490,6 @@ class RingNetProtocol {
   // MH index, touched only from the member's owning domain):
   std::vector<ChainLog> member_chain_;        // unacked chained forwards
   std::vector<GlobalSeq> member_seen_stamp_;  // forward dedupe (gseq+1 tag)
-  // Per-group assigned-seq high water (next seq to hand out), maintained at
-  // token assignment time in the serialized global context; Token
-  // Regeneration restores the counters from it so per-group seqs survive a
-  // lost token without a gap or a repeat.
-  std::vector<std::uint64_t> group_seq_high_;
   GroupId boost_group_{0};     // flash-crowd target (0 = off)
   double group_boost_ = 1.0;   // submit-rate multiplier for boost_group_
 
@@ -555,8 +549,10 @@ class RingNetProtocol {
   NodeId token_custodian_ = NodeId::invalid();
   bool token_lost_ = false;
   bool regen_pending_ = false;
-  GlobalSeq max_assigned_gseq_ = 0;
-  bool any_assigned_ = false;
+  // Next gseq and per-group seqs assigned ring-wide, witnessed at token
+  // hops in the serialized global context. Boot and Token-Regeneration
+  // seed their token from it, so no seq is issued twice.
+  SeqHighWater high_water_;
 };
 
 }  // namespace ringnet::core

@@ -14,7 +14,6 @@ inline constexpr const char* kTokenHeld = "token.held";
 inline constexpr const char* kTokenDupDestroyed = "token.duplicates_destroyed";
 inline constexpr const char* kTokenRegenerated = "token.regenerated";
 inline constexpr const char* kTokenDropped = "token.dropped";
-inline constexpr const char* kWqDropped = "wq.dropped";
 // One count per repair that loses at least one message: a member floor
 // skip, a chain restart over a pruned range, a chain head relinked past a
 // dropped predecessor, or a resend walk that splices entries out.

@@ -342,4 +342,11 @@ std::optional<Message> decode(const std::uint8_t* data, std::size_t size);
 /// simulator to charge link serialization time).
 std::size_t wire_size(const Message& msg);
 
+/// Encoded token envelope size: tag + 40 B header + 32 B per WTSNP row, plus
+/// a u32 count and 12 B per group counter when there are any counters.
+constexpr std::size_t token_wire_size(std::size_t rows,
+                                      std::size_t group_counters) {
+  return 41 + rows * 32 + (group_counters > 0 ? 4 + group_counters * 12 : 0);
+}
+
 }  // namespace ringnet::proto

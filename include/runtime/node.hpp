@@ -21,6 +21,7 @@
 
 #include "core/config.hpp"
 #include "core/delivery_chain.hpp"
+#include "core/ordering.hpp"
 #include "core/types.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -297,11 +298,12 @@ class BrRuntime final : public RuntimeNode {
 
   std::uint64_t epoch_ = 1;
   std::uint64_t next_serial_ = 2;  // regeneration lineage (initial token: 1)
-  std::deque<proto::DataMsg> staging_;
+  std::deque<proto::DataMsg> wq_;  // WQ: in-order uplink awaiting the token
   std::unordered_map<std::uint32_t, SourceIn> uplink_;
   GseqBuffer mq_;
-  GlobalSeq max_seen_gseq_ = 0;
-  bool any_seen_ = false;
+  // Witnesses every ordered message stored in the MQ, this BR's and its
+  // peers', so a regenerated token reissues no gseq or per-group seq.
+  core::SeqHighWater high_water_;
   std::uint64_t assigned_ = 0;
   std::unordered_map<std::uint32_t, Member> members_;
   std::int64_t last_pull_us_ = kNeverUs;  // peer-pull request rate limit
@@ -309,8 +311,6 @@ class BrRuntime final : public RuntimeNode {
   // monotonically per member, so forwarding walks the MQ contiguously and
   // out-of-order peer distributions wait for their hole to fill.
   GlobalSeq chain_next_ = 0;
-  // Next per-group sequence to seed into a regenerated token.
-  std::unordered_map<std::uint32_t, std::uint64_t> group_seq_high_;
 
   bool has_token_ = false;
   proto::OrderingToken token_;

@@ -102,7 +102,6 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
         n_br, std::vector<std::vector<NodeId>>(config_.groups.count));
     member_chain_.assign(n_mh, {});
     member_seen_stamp_.assign(n_mh, 0);
-    group_seq_high_.assign(config_.groups.count, 0);
     for (std::size_t i = 0; i < n_mh; ++i) {
       mh_groups_[i] = member_groups(i, config_.groups);
     }
@@ -171,7 +170,6 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
   mid_.token_dup_destroyed = mx.intern(names::kTokenDupDestroyed);
   mid_.token_regenerated = mx.intern(names::kTokenRegenerated);
   mid_.token_dropped = mx.intern(names::kTokenDropped);
-  mid_.wq_dropped = mx.intern(names::kWqDropped);
   mid_.gaps_skipped = mx.intern(names::kGapsSkipped);
   mid_.gap_skipped_msgs = mx.intern(names::kGapSkippedMsgs);
   mid_.membership_applied = mx.intern(names::kMembershipApplied);
@@ -219,8 +217,8 @@ void RingNetProtocol::start() {
       ++stagger;
       spawn_ack_chain(mh, opt.ack_period + phase);
     }
-    proto::OrderingToken token(kGroup, current_epoch_);
-    token.set_serial(active_token_serial_);
+    auto token =
+        high_water_.token(kGroup, current_epoch_, active_token_serial_);
     token_custodian_ = topo_.top_ring.front();
     sim_.after(gdom(), sim::usecs(1),
                [this, token = std::move(token)]() mutable {
@@ -382,7 +380,7 @@ void RingNetProtocol::uplink_to_br(const proto::DataMsg& msg, NodeId mh) {
       if (config_.options.tau > sim::SimTime::zero()) {
         b.staging_.push_back(msg);
       } else {
-        b.wq_.add(msg);
+        b.wq_.push_back(msg);
       }
       note_wq_depth(b);
     });
@@ -403,10 +401,8 @@ void RingNetProtocol::uplink_to_br(const proto::DataMsg& msg, NodeId mh) {
 void RingNetProtocol::tau_tick(NodeId br) {
   BrNode& b = brs_[br.index()];
   if (b.alive_) {
-    while (!b.staging_.empty()) {
-      b.wq_.add(b.staging_.front());
-      b.staging_.pop_front();
-    }
+    for (auto& m : b.staging_) b.wq_.push_back(std::move(m));
+    b.staging_.clear();
     note_wq_depth(b);
   }
   sim_.after(config_.options.tau, [this, br] { tau_tick(br); });
@@ -435,37 +431,17 @@ void RingNetProtocol::token_arrive(NodeId br, proto::OrderingToken token) {
   }
 
   token_custodian_ = br;
-  if (br == alive_ring_.front()) token.bump_rotation();
+  accept_token(token, br, br == alive_ring_.front());
   sim_.trace().record(sim::TraceKind::TokenPass, sim_.now(), br, token.epoch(),
                       token.rotation());
   sim_.metrics().incr(mid_.token_held);
 
-  // WTSNP recycling: our previous entries have completed a full rotation.
-  token.prune_entries_of(br);
-
-  std::size_t dropped = 0;
-  auto batch = b.wq_.assign(
-      [&](proto::DataMsg& m) {
-        m.gseq = token.append_range(br, m.source, m.lseq, m.lseq);
-        m.ordering_node = br;
-        m.epoch = token.epoch();
-        m.assigned_at = sim_.now();
-        if (multi_ && !m.groups.empty()) {
-          // Per-destination-group dense sequence, drawn from the token's
-          // group counters so it is totally ordered ring-wide. With the
-          // one shared ring the cross-group timestamp merge collapses to
-          // gseq itself; the per-group seqs feed traces and accounting.
-          for (std::size_t i = 0; i < m.groups.size(); ++i) {
-            m.group_seqs[i] = token.bump_group_seq(m.groups[i]);
-            group_seq_high_[group_index(m.groups[i])] = m.group_seqs[i] + 1;
-          }
-        }
-        return true;
-      },
-      dropped);
-  if (dropped > 0) sim_.metrics().incr(mid_.wq_dropped, dropped);
-
-  for (const auto& m : batch) {
+  // With the one shared ring the cross-group timestamp merge collapses to
+  // gseq itself; the per-group seqs feed traces and accounting.
+  std::vector<proto::DataMsg> batch;
+  batch.reserve(b.wq_.size());
+  assign_all(token, br, b.wq_, high_water_, [&](proto::DataMsg&& m) {
+    m.assigned_at = sim_.now();
     if (m.source.index() < sources_.size()) {
       // Token hops are barrier points: every earlier submit has run, so
       // the (domain-owned) submit log is safe to read here in both modes.
@@ -474,12 +450,10 @@ void RingNetProtocol::token_arrive(NodeId br, proto::OrderingToken token) {
         assign_hist_.record(static_cast<std::uint64_t>((sim_.now() - *at).us));
       }
     }
-    if (!any_assigned_) archive_base_ = m.gseq;
-    max_assigned_gseq_ = m.gseq;
-    any_assigned_ = true;
     assert(m.gseq == archive_base_ + assigned_archive_.size());
     assigned_archive_.push_back(ArchiveEntry{m, sim_.now()});
-  }
+    batch.push_back(std::move(m));
+  });
   if (!batch.empty()) {
     archive_peak_ = std::max(archive_peak_, assigned_archive_.size());
     sim_.metrics().gauge_max(mid_.buf_archive_peak,
@@ -498,9 +472,8 @@ void RingNetProtocol::token_arrive(NodeId br, proto::OrderingToken token) {
 
   const NodeId next = next_alive_br(br);
   if (!next.valid()) return;  // ring fully gone
-  const std::uint32_t token_bytes = static_cast<std::uint32_t>(
-      41 + 32 * token.entries().size() +
-      12 * token.group_counters().size());
+  const auto token_bytes = static_cast<std::uint32_t>(proto::token_wire_size(
+      token.entries().size(), token.group_counters().size()));
   sim::SimTime delay = config_.options.token_hold;
   if (next == br) {
     delay += sim::msecs(1);  // 1-ring (sequencer): pace the self-visit
@@ -781,11 +754,9 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
   // normally-in-flight messages from being duplicated.
   const sim::SimTime grace =
       config_.options.ack_period + config_.options.retx_timeout;
-  const GlobalSeq horizon =
-      any_assigned_ ? std::min(max_assigned_gseq_, cursor + kResendWindow)
-                    : cursor;
   std::size_t resent = 0;
-  for (GlobalSeq g = cursor; g <= horizon && any_assigned_; ++g) {
+  for (GlobalSeq g = cursor;
+       g < high_water_.next_gseq() && g <= cursor + kResendWindow; ++g) {
     const auto stored = b.mq_.stored_at(g);
     if (!stored) {
       // Hole in this BR's own MQ (it missed the multicast, e.g. while
@@ -839,24 +810,21 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
   // Unlike the legacy path this must NOT re-forward — the subtree's
   // members never had these frames chained, and chaining an old gseq
   // behind newer ones would corrupt their delivery chains.
-  if (any_assigned_) {
-    const GlobalSeq from = b.mq_.next_expected();
-    const GlobalSeq stop =
-        std::min(max_assigned_gseq_, from + kResendWindow);
-    for (GlobalSeq g = from; g <= stop; ++g) {
-      if (b.mq_.stored_at(g)) continue;
-      const proto::DataMsg* arch = archive_lookup(g);
-      if (!arch || archive_stored_at(g) + grace > sim_.now()) continue;
-      sim_.metrics().incr(mid_.retransmits);
-      const sim::SimTime d =
-          hop_delay(config_.hierarchy.wan,
-                    net::link_key(arch->ordering_node, br), data_bytes(*arch));
-      sim_.after(d, [this, br, m = *arch] {
-        BrNode& bb = brs_[br.index()];
-        if (!bb.alive_) return;
-        bb.mq_.store(m, sim_.now());
-      });
-    }
+  const GlobalSeq from = b.mq_.next_expected();
+  for (GlobalSeq g = from;
+       g < high_water_.next_gseq() && g <= from + kResendWindow; ++g) {
+    if (b.mq_.stored_at(g)) continue;
+    const proto::DataMsg* arch = archive_lookup(g);
+    if (!arch || archive_stored_at(g) + grace > sim_.now()) continue;
+    sim_.metrics().incr(mid_.retransmits);
+    const sim::SimTime d =
+        hop_delay(config_.hierarchy.wan,
+                  net::link_key(arch->ordering_node, br), data_bytes(*arch));
+    sim_.after(d, [this, br, m = *arch] {
+      BrNode& bb = brs_[br.index()];
+      if (!bb.alive_) return;
+      bb.mq_.store(m, sim_.now());
+    });
   }
   ChainLog& chain = member_chain_[mh.index()];
   if (chain.ack(tail)) {
@@ -900,7 +868,7 @@ void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
   ChainLog& chain = member_chain_[i];
   chain.restart(tail);
   m.inbox_.restart();
-  if (!any_assigned_) return;
+  if (high_water_.next_gseq() == 0) return;
   if (tail < archive_base_) {
     // Messages between the tail and the archive's base fell out of
     // retention while the member was away: they are really lost. The
@@ -914,7 +882,7 @@ void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
   }
   const proto::GroupSet& mine = mh_groups_[i];
   const GlobalSeq from = tail > archive_base_ ? tail : archive_base_;
-  for (GlobalSeq g = from; g <= max_assigned_gseq_; ++g) {
+  for (GlobalSeq g = from; g < high_water_.next_gseq(); ++g) {
     const proto::DataMsg* arch = archive_lookup(g);
     if (!arch || !arch->groups.intersects(mine)) continue;
     proto::DataMsg copy = *arch;
@@ -1198,18 +1166,7 @@ void RingNetProtocol::regenerate_token() {
   active_token_serial_ = next_token_serial_++;
   token_lost_ = false;
 
-  proto::OrderingToken token(kGroup, current_epoch_);
-  token.set_serial(active_token_serial_);
-  token.set_next_gseq(any_assigned_ ? max_assigned_gseq_ + 1 : 0);
-  if (multi_) {
-    // Restore the per-group counters alongside the global one, or the
-    // regenerated token would re-issue per-group seqs from zero.
-    for (std::size_t gi = 0; gi < group_seq_high_.size(); ++gi) {
-      if (group_seq_high_[gi] != 0) {
-        token.set_group_seq(group_of_index(gi), group_seq_high_[gi]);
-      }
-    }
-  }
+  auto token = high_water_.token(kGroup, current_epoch_, active_token_serial_);
   const NodeId leader = leader_br();
   token_custodian_ = leader;
   sim_.metrics().incr(mid_.token_regenerated);
@@ -1230,7 +1187,7 @@ void RingNetProtocol::crash_node(NodeId id) {
     // entries so the pruned-prefix frontier keeps advancing.
     for (const auto& m : b.staging_) release_submit(m);
     b.staging_.clear();
-    for (const auto& m : b.wq_.pending()) release_submit(m);
+    for (const auto& m : b.wq_) release_submit(m);
     b.wq_.clear();
     advance_global_floor();  // a dead BR no longer holds the watermark
     return;

@@ -462,10 +462,9 @@ std::size_t wire_size(const Message& msg) {
       }
     }
     void operator()(const OrderingToken& m) const {
-      body = 40 + m.entries().size() * 32;
-      if (!m.group_counters().empty()) {
-        body += 4 + m.group_counters().size() * 12;
-      }
+      // token_wire_size counts the envelope tag, which is added below.
+      body = token_wire_size(m.entries().size(), m.group_counters().size()) -
+             1;
     }
     void operator()(const DeliveryAckMsg&) const { body = 16; }
     void operator()(const MembershipMsg& m) const {

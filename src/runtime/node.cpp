@@ -129,10 +129,7 @@ void BrRuntime::on_start(std::int64_t now_us) {
     // The leader seeds the first token; peer sockets are already bound (the
     // orchestrator binds every transport before starting any loop), so the
     // forward ARQ covers peers whose loops lag behind.
-    proto::OrderingToken t(kRuntimeGroup, epoch_);
-    t.set_serial(1);
-    last_rx_key_ = TokenKey{t.epoch(), t.serial(), t.rotation(), true};
-    accept_token(std::move(t), now_us);
+    accept_token(high_water_.token(kRuntimeGroup, epoch_, 1), now_us);
   }
 }
 
@@ -223,16 +220,16 @@ void BrRuntime::handle_uplink(const proto::DataMsg& msg, std::int64_t now_us) {
     return;
   }
   // Span stamp: first reception of each uplink. The stamp rides the sim-only
-  // (non-serialized) DataMsg field through staging_/pending until assignment,
+  // (non-serialized) DataMsg field through wq_/pending until assignment,
   // where it lands in span_assigned_.
   const bool spans = cfg_.opts.record_spans;
   if (msg.lseq == si.next_expected) {
-    staging_.push_back(msg);
-    if (spans) staging_.back().uplink_rx_at.us = now_us;
+    wq_.push_back(msg);
+    if (spans) wq_.back().uplink_rx_at.us = now_us;
     ++si.next_expected;
     auto it = si.pending.find(si.next_expected);
     while (it != si.pending.end()) {
-      staging_.push_back(std::move(it->second));
+      wq_.push_back(std::move(it->second));
       si.pending.erase(it);
       ++si.next_expected;
       it = si.pending.find(si.next_expected);
@@ -281,10 +278,7 @@ void BrRuntime::store_and_forward_ordered(const proto::DataMsg& msg,
   // Span stamp: first ordered arrival of this gseq at the relay endpoint
   // for this BR's subtree (emplace keeps the earliest arrival).
   if (cfg_.opts.record_spans) span_relay_rx_us_.emplace(msg.gseq, now_us);
-  if (!any_seen_ || msg.gseq > max_seen_gseq_) {
-    max_seen_gseq_ = msg.gseq;
-    any_seen_ = true;
-  }
+  high_water_.witness(msg);
   mq_.prune_to(cfg_.opts.mq_retention);
   if (multi()) {
     // Chain links must rise monotonically per member, so chain forwarding
@@ -322,27 +316,25 @@ void BrRuntime::handle_token(proto::OrderingToken token, NodeId from,
   // (serial, rotation) and a lost ack must not keep it retransmitting.
   tr_.send_msg(from, proto::Message(proto::TokenAckMsg{
                          cfg_.self, token.serial(), token.rotation()}));
-  if (token.epoch() < epoch_) {
-    metrics_.incr(mid_.token_dup_destroyed);
-    fr_.record(obs::FrEvent::TokenDupDestroyed, now_us, token.serial());
-    return;
-  }
-  // Accept only a strictly newer visit of the same lineage: retransmits
-  // (same rotation) and stale re-injections (lower rotation) are destroyed.
-  if (last_rx_key_.valid && token.epoch() == last_rx_key_.epoch &&
-      token.serial() == last_rx_key_.serial &&
-      token.rotation() <= last_rx_key_.rotation) {
+  // Destroy older epochs, and accept only a strictly newer visit of the same
+  // lineage: retransmits (same rotation) and stale re-injections (lower
+  // rotation) are destroyed too.
+  if (token.epoch() < epoch_ ||
+      (last_rx_key_.valid && token.epoch() == last_rx_key_.epoch &&
+       token.serial() == last_rx_key_.serial &&
+       token.rotation() <= last_rx_key_.rotation)) {
     metrics_.incr(mid_.token_dup_destroyed);
     fr_.record(obs::FrEvent::TokenDupDestroyed, now_us, token.serial());
     return;
   }
   epoch_ = std::max(epoch_, token.epoch());
-  last_rx_key_ =
-      TokenKey{token.epoch(), token.serial(), token.rotation(), true};
   accept_token(std::move(token), now_us);
 }
 
 void BrRuntime::accept_token(proto::OrderingToken token, std::int64_t now_us) {
+  // Duplicate-detection key of this visit, taken before the rotation bump.
+  last_rx_key_ =
+      TokenKey{token.epoch(), token.serial(), token.rotation(), true};
   has_token_ = true;
   token_ = std::move(token);
   last_token_seen_us_ = now_us;
@@ -350,35 +342,24 @@ void BrRuntime::accept_token(proto::OrderingToken token, std::int64_t now_us) {
   metrics_.incr(mid_.tokens_held);
   fr_.record(obs::FrEvent::TokenRx, now_us, token_.serial(),
              token_.rotation());
-  if (leader()) token_.bump_rotation();
-  token_.prune_entries_of(cfg_.self);
+  core::accept_token(token_, cfg_.self, leader());
   release_deadline_us_ = now_us + cfg_.opts.token_hold_us;
   assign_staged(now_us);
 }
 
 void BrRuntime::assign_staged(std::int64_t now_us) {
-  while (!staging_.empty()) {
-    proto::DataMsg m = std::move(staging_.front());
-    staging_.pop_front();
-    m.gseq = token_.append_range(cfg_.self, m.source, m.lseq, m.lseq);
-    m.ordering_node = cfg_.self;
-    m.epoch = token_.epoch();
-    if (multi() && !m.groups.empty()) {
-      for (std::size_t i = 0; i < m.groups.size(); ++i) {
-        m.group_seqs[i] = token_.bump_group_seq(m.groups[i]);
-        group_seq_high_[m.groups[i].v] = m.group_seqs[i] + 1;
-      }
-    }
-    ++assigned_;
-    if (cfg_.opts.record_spans) {
-      span_assigned_.push_back(SpanAssignRec{m.source, m.lseq, m.gseq,
-                                             m.uplink_rx_at.us, now_us});
-    }
-    store_and_forward_ordered(m, now_us);
-    for (NodeId peer : cfg_.ring) {
-      if (peer != cfg_.self) tr_.send_msg(peer, proto::Message(m));
-    }
-  }
+  core::assign_all(
+      token_, cfg_.self, wq_, high_water_, [&](proto::DataMsg&& m) {
+        ++assigned_;
+        if (cfg_.opts.record_spans) {
+          span_assigned_.push_back(SpanAssignRec{m.source, m.lseq, m.gseq,
+                                                 m.uplink_rx_at.us, now_us});
+        }
+        store_and_forward_ordered(m, now_us);
+        for (NodeId peer : cfg_.ring) {
+          if (peer != cfg_.self) tr_.send_msg(peer, proto::Message(m));
+        }
+      });
 }
 
 void BrRuntime::release_token(std::int64_t now_us) {
@@ -395,19 +376,10 @@ void BrRuntime::release_token(std::int64_t now_us) {
 
 void BrRuntime::regenerate_token(std::int64_t now_us) {
   ++epoch_;
-  proto::OrderingToken t(kRuntimeGroup, epoch_);
-  t.set_serial(next_serial_++);
-  t.set_next_gseq(any_seen_ ? max_seen_gseq_ + 1 : 0);
-  // Per-group counters survive regeneration from the local high-watermarks
-  // (only counters this BR has witnessed; a peer's newer assignment bumps
-  // them again on the next pass, same as next_gseq).
-  for (const auto& [gid, next] : group_seq_high_) {
-    t.set_group_seq(GroupId{gid}, next);
-  }
   metrics_.incr(mid_.token_regenerated);
   fr_.record(obs::FrEvent::TokenRegen, now_us, epoch_);  // arms an auto-dump
-  last_rx_key_ = TokenKey{t.epoch(), t.serial(), t.rotation(), true};
-  accept_token(std::move(t), now_us);
+  accept_token(high_water_.token(kRuntimeGroup, epoch_, next_serial_++),
+               now_us);
 }
 
 void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
@@ -415,9 +387,9 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
   if (ack.member.tier() == Tier::BR) {
     // Peer-BR gap repair: a peer lost an ordered frame we assigned and asks
     // for the window starting at its hole. Serve whatever the MQ retains.
-    for (GlobalSeq g = ack.watermark;
-         g <= max_seen_gseq_ && g < ack.watermark + kResendWindow; ++g) {
-      if (!any_seen_) break;
+    const GlobalSeq end =
+        std::min(high_water_.next_gseq(), ack.watermark + kResendWindow);
+    for (GlobalSeq g = ack.watermark; g < end; ++g) {
       if (const proto::DataMsg* m = mq_.find(g)) {
         tr_.send_msg(ack.member, proto::Message(*m));
         metrics_.incr(mid_.retransmits);
@@ -433,7 +405,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
     return;
   }
   m.next_expected = std::max(m.next_expected, ack.watermark);
-  const bool behind = any_seen_ && m.next_expected <= max_seen_gseq_;
+  const bool behind = m.next_expected < high_water_.next_gseq();
   if (!stalled(m, ack.watermark, behind, now_us)) return;
   const GlobalSeq want = m.next_expected;
   fr_.record(obs::FrEvent::StallResync, now_us, ack.member.v, want);
@@ -449,8 +421,9 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
   }
   bool pull_requested = false;
   std::uint64_t resent = 0;
-  for (GlobalSeq g = want; g <= max_seen_gseq_ && g < want + kResendWindow;
-       ++g) {
+  const GlobalSeq end =
+      std::min(high_water_.next_gseq(), want + kResendWindow);
+  for (GlobalSeq g = want; g < end; ++g) {
     if (const proto::DataMsg* dm = mq_.find(g)) {
       tr_.send_msg(m.ap, proto::Message(*dm), ack.member);
       metrics_.incr(mid_.retransmits);
@@ -510,8 +483,8 @@ void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
   }
   // Behind: unacked chain links, or a BR-side chain cursor short of the
   // newest assignment.
-  const bool behind = !m.chain.empty() ||
-                      (any_seen_ && chain_next_ <= max_seen_gseq_);
+  const bool behind =
+      !m.chain.empty() || chain_next_ < high_water_.next_gseq();
   if (!stalled(m, tail, behind, now_us)) return;
   if (m.chain.empty()) {
     // The member is current; the BR itself is stuck on an MQ hole at the

@@ -147,6 +147,16 @@ TEST(wire_size_matches_encode) {
   t.append_range(NodeId{2}, NodeId{3}, 0, 9);
   CHECK_EQ(proto::wire_size(proto::Message(t)),
            proto::encode(proto::Message(t)).size());
+  CHECK_EQ(proto::token_wire_size(2, 0),
+           proto::encode(proto::Message(t)).size());
+
+  // Per-group counters add the u32 count and 12 B per counter.
+  t.set_group_seq(GroupId{2}, 7);
+  t.set_group_seq(GroupId{4}, 3);
+  CHECK_EQ(proto::wire_size(proto::Message(t)),
+           proto::encode(proto::Message(t)).size());
+  CHECK_EQ(proto::token_wire_size(2, 2),
+           proto::encode(proto::Message(t)).size());
 }
 
 TEST(wire_size_clamps_like_encode_on_oversized_group_sets) {

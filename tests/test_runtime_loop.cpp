@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -625,6 +626,57 @@ TEST(br_token_loss_arms_watchdog_dump) {
   // The unified registry reports the same vocabulary the sim uses.
   CHECK_EQ(br.metrics().counter("token.dropped"), c.token_dropped);
   CHECK_EQ(br.metrics().counter("token.regenerated"), c.token_regenerated);
+}
+
+TEST(br_regeneration_keeps_peer_group_seqs) {
+  // The leader stores peer BR1's ordered gseqs 0-19, all for group 2 (seqs
+  // 0-19), then loses its token forward to the silent peer. The token it
+  // regenerates must resume group 2 at 20, not reissue seqs BR1 assigned.
+  InProcNet net;
+  const auto br0 = NodeId::make(Tier::BR, 0);
+  const auto br1 = NodeId::make(Tier::BR, 1);
+  const auto ss = NodeId{0x00FFFFFEu};
+  auto tr = net.attach(br0);
+  auto peer = net.attach(br1);  // silent: never acks a token frame
+  (void)net.attach(ss);
+
+  BrConfig cfg;
+  cfg.self = br0;
+  cfg.ss = ss;
+  cfg.ring = {br0, br1};
+  cfg.groups.count = 4;
+  cfg.opts.token_hold_us = 200;
+  cfg.opts.retx_timeout_us = 1'000;
+  cfg.opts.max_retx = 2;
+  cfg.opts.heartbeat_period_us = 2'000;
+  cfg.opts.heartbeat_miss_limit = 4;
+  BrRuntime br(cfg, *tr);
+  br.on_start(0);
+  for (GlobalSeq g = 0; g < 20; ++g) {
+    proto::DataMsg m = ordered_data(g, NodeId{5}, g);
+    m.ordering_node = br1;
+    m.groups.insert(GroupId{2});
+    m.group_seqs[0] = g;
+    Datagram d = proto_datagram(proto::Message(m));
+    d.src = br1;
+    br.on_datagram(d, 50);
+  }
+  const std::int64_t horizon =
+      cfg.opts.token_regen_timeout_us() + 5 * cfg.opts.retx_timeout_us;
+  for (std::int64_t t = 100; t <= horizon; t += 100) br.on_tick(t);
+  CHECK_EQ(br.epoch(), 2u);
+
+  std::optional<proto::OrderingToken> regen;
+  while (const auto d = peer->recv(0)) {
+    const auto msg = proto::decode(d->payload.data(), d->payload.size());
+    if (msg && msg->type() == proto::MsgType::Token &&
+        msg->token().epoch() == 2) {
+      regen = msg->token();
+    }
+  }
+  CHECK(regen.has_value());
+  CHECK_EQ(regen->next_gseq(), GlobalSeq{20});
+  CHECK_EQ(regen->group_seq(GroupId{2}), std::uint64_t{20});
 }
 
 TEST(loopback_spans_capture_all_stages) {

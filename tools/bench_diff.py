@@ -31,7 +31,8 @@ import sys
 # and delivery, codec encode/decode (owned and zero-copy), metrics incr.
 # The bench_obs micros (ISSUE 10) gate instrumentation overhead: the same
 # hot paths with span recording off/on, plus the registry and recorder.
-# The MemberInbox micros gate MH chain reassembly per delivery.
+# The MemberInbox micros gate MH chain reassembly per delivery, and the
+# TokenAssign micros one BR token hold (WQ drain + WTSNP assignment).
 DEFAULT_GATES = [
     r"BM_TokenForwardRing",
     r"BM_DistributeBatchDeliver",
@@ -47,6 +48,7 @@ DEFAULT_GATES = [
     r"BM_MetricsIncr",
     r"BM_FlightRecorderRecord",
     r"BM_MemberInbox.*",
+    r"BM_TokenAssign.*",
 ]
 
 

@@ -64,6 +64,14 @@ RN008 adhoc-metric-name
     one place the spellings live; benches, tests, and tools keep free-form
     names.
 
+RN009 token-mutator
+    The token's sequence mutators (`append_range`, `bump_group_seq`,
+    `set_group_seq`, `set_next_gseq`, `prune_entries_of`, `bump_rotation`)
+    are called only from include/core/ordering.hpp on the RN008 paths. The
+    token step (WQ drain, WTSNP and per-group assignment, regeneration
+    seed) exists once for the sim and the runtime; a second call site is a
+    second copy of the ordering policy growing back.
+
 Self-test
 ---------
 `--self-test` seeds one violation per rule in a scratch tree and fails
@@ -290,6 +298,33 @@ def check_adhoc_metric_name(root):
 
 
 # --------------------------------------------------------------------------
+# RN009: token sequence mutator outside the shared token step
+
+TOKEN_MUTATOR_RE = re.compile(
+    r"(\.|->)(append_range|bump_group_seq|set_group_seq|set_next_gseq|"
+    r"prune_entries_of|bump_rotation)\s*\(")
+
+RN009_HOME = "include/core/ordering.hpp"
+
+
+def check_token_mutator(root):
+    findings = []
+    for path in repo_files(root, RN008_DIRS):
+        r = rel(root, path)
+        if r.replace(os.sep, "/") == RN009_HOME:
+            continue
+        for i, text in enumerate(open(path, encoding="utf-8"), 1):
+            m = TOKEN_MUTATOR_RE.search(text)
+            if m:
+                findings.append(Finding(
+                    "RN009", r, i,
+                    f"token mutator {m.group(2)}() outside {RN009_HOME}; "
+                    "go through core::accept_token / core::assign_all / "
+                    "SeqHighWater::token so the token step exists once"))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # RN005: header self-containment
 
 def check_header_self_containment(root, cxx):
@@ -329,6 +364,7 @@ def run_checks(root, cxx, with_headers=True):
     findings += check_raw_wall_clock(root)
     findings += check_hardcoded_group(root)
     findings += check_adhoc_metric_name(root)
+    findings += check_token_mutator(root)
     if with_headers:
         findings += check_header_self_containment(root, cxx)
     return findings
@@ -418,10 +454,20 @@ def self_test(cxx):
         write("bench/ok_name.cpp",
               'void f(M& m) { m.intern("bench.freeform"); }\n')
 
+        # RN009: a token mutator in engine code; the shared token step and
+        # benches/tests (which build tokens by hand) must NOT fire.
+        write("src/runtime/bad_token.cpp",
+              "void f(T& t) { t.bump_group_seq(g); t.bump_rotation(); }\n")
+        write("include/core/ordering.hpp",
+              "#pragma once\nstruct T { void append_range(int, int) {} };\n"
+              "inline void f(T& t) { t.append_range(0, 0); }\n")
+        write("bench/ok_token.cpp",
+              "void f(T* t) { t->prune_entries_of(n); }\n")
+
         findings = run_checks(tmp, cxx)
         fired = {f.rule for f in findings}
         for rule in ("RN001", "RN002", "RN003", "RN004", "RN005", "RN006",
-                     "RN007", "RN008"):
+                     "RN007", "RN008", "RN009"):
             if rule not in fired:
                 failures.append(f"{rule} did not fire on its seeded "
                                 "violation")
@@ -436,7 +482,9 @@ def self_test(cxx):
                             ("RN006", "ok_wait.cpp"),
                             ("RN007", "good_group.cpp"),
                             ("RN008", "good_name.cpp"),
-                            ("RN008", "ok_name.cpp")):
+                            ("RN008", "ok_name.cpp"),
+                            ("RN009", "ordering.hpp"),
+                            ("RN009", "ok_token.cpp")):
             if (rule, fname) in by_file:
                 failures.append(f"{rule} false-positive on {fname}")
     if failures:
