@@ -232,11 +232,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(sim.lat_p99_us),
               static_cast<unsigned long long>(sim.lat_max_us));
   std::printf("  frames: sent=%llu received=%llu malformed=%llu "
-              "send_failures=%llu\n",
+              "send_failures=%llu (oversize=%llu)\n",
               static_cast<unsigned long long>(rt.frames_sent),
               static_cast<unsigned long long>(rt.frames_received),
               static_cast<unsigned long long>(rt.frames_malformed),
-              static_cast<unsigned long long>(rt.send_failures));
+              static_cast<unsigned long long>(rt.send_failures),
+              static_cast<unsigned long long>(rt.send_oversize));
   std::printf("  token: held=%llu retx=%llu regen=%llu dup_destroyed=%llu "
               "dropped=%llu\n",
               static_cast<unsigned long long>(rt.counters.tokens_held),

@@ -40,8 +40,7 @@ void BM_MessageQueueStoreDeliver(benchmark::State& state) {
   GlobalSeq g = 0;
   for (auto _ : state) {
     mq.store(make_data(g), sim::SimTime{0});
-    mq.mark_delivered(g);
-    ++g;
+    mq.ack_below(++g);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(g));
 }
@@ -56,8 +55,8 @@ void BM_MessageQueueOutOfOrderWindow(benchmark::State& state) {
     for (GlobalSeq i = window; i-- > 0;) {
       mq.store(make_data(base + i), sim::SimTime{0});
     }
-    for (GlobalSeq i = 0; i < window; ++i) mq.mark_delivered(base + i);
     base += window;
+    mq.ack_below(base);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(base));
 }

@@ -70,7 +70,8 @@ struct ProtocolOptions {
   // Failure detection: ring heartbeats and the miss budget.
   sim::SimTime heartbeat_period = sim::msecs(25);
   int heartbeat_miss_limit = 4;
-  // MQ ValidFront lag: delivered entries retained for handoff resync.
+  // MQ ValidFront lag: entries kept behind the subtree-acked floor for
+  // handoff resync (RuntimeOptions::mq_retention is a window instead).
   std::size_t mq_retention = 1024;
   // Assigned-message archive (peer-repair store) entries retained below the
   // global acked floor. Together with mq_retention this bounds steady-state

@@ -1,16 +1,19 @@
 #pragma once
-// MessageQueue (the paper's MQ, kept by each ordering BR): an ordered
-// buffer of globally-sequenced messages keyed by gseq. It absorbs
-// out-of-order arrival (gap windows), advances a contiguous acked
-// watermark, and retains a bounded tail (`retention` entries behind it,
-// the ValidFront lag) so handed-off members can resynchronize without
-// end-to-end retransmission.
+// MessageQueue (the paper's MQ): an ordered buffer of globally-sequenced
+// messages keyed by gseq, and the one gseq-indexed message store of both
+// engines. It absorbs out-of-order arrival (gap windows), advances a
+// contiguous acked watermark, and retains a bounded tail (`retention`
+// entries behind it, the ValidFront lag) so handed-off members can
+// resynchronize without end-to-end retransmission. Each caller brings its
+// own retention policy: the sim's BRs ack behind their subtree's
+// DeliveryAcks and its assignment archive behind the ring-wide floor; the
+// runtime BR keeps a window of the newest gseqs with skip_to.
 //
 // Storage is a base-offset deque: gseqs are assigned contiguously by the
 // token, so entry g lives at slot (g - base) and every hot operation
-// (store, mark_delivered, the deliverable walk, prune) is an index, not an
-// ordered-tree descent. Slots inside the span that have not arrived yet
-// are explicit holes; the span stays O(retention + in-flight window).
+// (store, find, ack_below, prune) is an index, not an ordered-tree
+// descent. Slots inside the span that have not arrived yet are explicit
+// holes; the span stays O(retention + in-flight window).
 
 #include <algorithm>
 #include <cstddef>
@@ -27,50 +30,39 @@ class MessageQueue {
   explicit MessageQueue(std::size_t retention) : retention_(retention) {}
 
   /// Insert a sequenced message. Returns false on duplicate (already
-  /// buffered, or at/below the pruned ValidFront).
+  /// buffered, or below the acked watermark).
   bool store(const proto::DataMsg& msg, sim::SimTime now) {
-    if (have_delivered_ && msg.gseq <= delivered_) {
-      return false;  // stale: already delivered (possibly pruned)
-    }
+    if (msg.gseq < next_expected_) return false;  // stale: already acked
     Entry& slot = slot_for(msg.gseq);
     if (slot.present) return false;
     slot.present = true;
     slot.msg = msg;
     slot.stored_at = now;
     ++present_count_;
-    if (!max_seen_valid_ || msg.gseq > max_seen_) {
-      max_seen_ = msg.gseq;
-      max_seen_valid_ = true;
-    }
+    max_seen_ = std::max(max_seen_, msg.gseq);
     return true;
   }
 
-  /// Mark one gseq delivered; advances the contiguous delivered watermark
-  /// and prunes everything older than (watermark - retention).
-  void mark_delivered(GlobalSeq gseq) {
-    Entry* e = entry_at(gseq);
-    if (e != nullptr && e->present) e->delivered = true;
-    // Advance the watermark over the contiguous delivered prefix.
-    while (true) {
-      Entry* front = entry_at(next_expected_);
-      if (front == nullptr || !front->present || !front->delivered) break;
-      delivered_ = next_expected_;
-      have_delivered_ = true;
+  /// Advance the acked watermark over the contiguous stored prefix below
+  /// `floor`, then prune everything older than (watermark - retention),
+  /// handing each pruned message to `on_prune` in gseq order.
+  template <typename OnPrune>
+  void ack_below(GlobalSeq floor, OnPrune&& on_prune) {
+    while (next_expected_ < floor && contains(next_expected_)) {
       ++next_expected_;
     }
-    prune();
+    prune(on_prune);
+  }
+  void ack_below(GlobalSeq floor) {
+    ack_below(floor, [](const proto::DataMsg&) {});
   }
 
-  std::optional<proto::DataMsg> fetch(GlobalSeq gseq) const {
+  const proto::DataMsg* find(GlobalSeq gseq) const {
     const Entry* e = entry_at(gseq);
-    if (e == nullptr || !e->present) return std::nullopt;
-    return e->msg;
+    return e != nullptr && e->present ? &e->msg : nullptr;
   }
 
-  bool contains(GlobalSeq gseq) const {
-    const Entry* e = entry_at(gseq);
-    return e != nullptr && e->present;
-  }
+  bool contains(GlobalSeq gseq) const { return find(gseq) != nullptr; }
 
   /// When the entry is still materialized, the sim time it was stored.
   std::optional<sim::SimTime> stored_at(GlobalSeq gseq) const {
@@ -93,19 +85,15 @@ class MessageQueue {
     return next_expected_;
   }
 
-  /// Force the expected cursor forward (gap skip after retention loss).
+  /// Force the acked watermark forward (gap skip after retention loss).
   void skip_to(GlobalSeq gseq) {
     if (gseq <= next_expected_) return;
     next_expected_ = gseq;
-    if (gseq > 0) {
-      delivered_ = gseq - 1;
-      have_delivered_ = true;
-    }
-    prune();
+    prune([](const proto::DataMsg&) {});
   }
 
   GlobalSeq next_expected() const { return next_expected_; }
-  GlobalSeq max_seen() const { return max_seen_valid_ ? max_seen_ : 0; }
+  GlobalSeq max_seen() const { return max_seen_; }
   bool empty() const { return present_count_ == 0; }
   std::size_t size() const { return present_count_; }
 
@@ -114,17 +102,11 @@ class MessageQueue {
     proto::DataMsg msg;
     sim::SimTime stored_at;
     bool present = false;
-    bool delivered = false;
   };
 
-  Entry* entry_at(GlobalSeq gseq) {
-    if (entries_.empty() || gseq < base_) return nullptr;
-    const GlobalSeq off = gseq - base_;
-    if (off >= entries_.size()) return nullptr;
-    return &entries_[static_cast<std::size_t>(off)];
-  }
   const Entry* entry_at(GlobalSeq gseq) const {
-    return const_cast<MessageQueue*>(this)->entry_at(gseq);
+    if (gseq < base_ || gseq - base_ >= entries_.size()) return nullptr;
+    return &entries_[static_cast<std::size_t>(gseq - base_)];
   }
 
   /// The slot for `gseq`, growing the span (with holes) as needed.
@@ -142,20 +124,23 @@ class MessageQueue {
     return entries_[static_cast<std::size_t>(gseq - base_)];
   }
 
-  void prune() {
-    if (!have_delivered_) return;
-    // Keep `retention_` delivered entries behind the watermark.
-    if (delivered_ + 1 < retention_) return;
-    const GlobalSeq cut = delivered_ + 1 - retention_;  // first kept gseq
+  template <typename OnPrune>
+  void prune(OnPrune&& on_prune) {
+    // Keep `retention_` acked entries behind the watermark.
+    const GlobalSeq cut =
+        next_expected_ > retention_ ? next_expected_ - retention_ : 0;
     while (!entries_.empty() && base_ < cut) {
-      if (entries_.front().present) --present_count_;
+      if (entries_.front().present) {
+        on_prune(entries_.front().msg);
+        --present_count_;
+      }
       entries_.pop_front();
       ++base_;
     }
-    // Unfillable holes at the front (store() rejects anything at or below
-    // the delivered watermark) only waste span: drop them.
+    // Unfillable holes at the front (store() rejects anything below the
+    // acked watermark) only waste span: drop them.
     while (!entries_.empty() && !entries_.front().present &&
-           base_ <= delivered_) {
+           base_ < next_expected_) {
       entries_.pop_front();
       ++base_;
     }
@@ -165,10 +150,7 @@ class MessageQueue {
   GlobalSeq base_ = 0;
   std::size_t present_count_ = 0;
   GlobalSeq next_expected_ = 0;
-  GlobalSeq delivered_ = 0;
-  bool have_delivered_ = false;
-  GlobalSeq max_seen_ = 0;
-  bool max_seen_valid_ = false;
+  GlobalSeq max_seen_ = 0;  // highest gseq ever stored (0 before any)
   std::size_t retention_;
 };
 

@@ -214,9 +214,8 @@ class BrNode {
   bool alive_ = true;
   std::deque<proto::DataMsg> staging_;  // waiting for the next tau tick
   std::deque<proto::DataMsg> wq_;       // WQ: waiting for the token
-  MessageQueue mq_;
+  MessageQueue mq_;  // next_expected(): the subtree-acked floor
   GroupView view_;
-  GlobalSeq acked_floor_ = 0;  // gseqs below are subtree-acked in mq_
   std::vector<MemberEvent> pending_membership_;
   sim::SimTime last_hb_from_prev_ = sim::SimTime::zero();
 };
@@ -325,8 +324,8 @@ class RingNetProtocol {
   obs::SpanBreakdown span_breakdown() const;
 
   /// Bounded-memory observability (Theorem 5.1 soak assertions).
-  GlobalSeq global_acked_floor() const { return global_acked_floor_; }
-  std::size_t archive_retained() const { return assigned_archive_.size(); }
+  GlobalSeq global_acked_floor() const { return archive_.next_expected(); }
+  std::size_t archive_retained() const { return archive_.size(); }
   std::size_t archive_peak() const { return archive_peak_; }
   std::size_t submit_log_retained() const {
     std::size_t n = 0;
@@ -427,10 +426,7 @@ class RingNetProtocol {
   void note_submit_log_depth(std::size_t retained);
   void mark_acked(BrNode& br);
   void advance_global_floor();
-  void prune_archive();
   void release_submit(const proto::DataMsg& msg);
-  const proto::DataMsg* archive_lookup(GlobalSeq gseq) const;
-  sim::SimTime archive_stored_at(GlobalSeq gseq) const;
   std::uint32_t data_bytes() const {
     // Envelope tag + DataMsg descriptor (proto::wire_size) + payload.
     return 41 + config_.source.payload_size;
@@ -522,19 +518,13 @@ class RingNetProtocol {
   std::vector<std::uint64_t> membership_seq_;  // by MH index
   std::unordered_set<std::uint64_t> lost_serials_;  // token frames lost in
                                                     // transit (lose_token)
-  // Every assigned message not yet pruned (+ assignment time) — the
-  // stand-in for fetching a missing copy from a peer ordering node's MQ
-  // when a BR has a hole (e.g. it was wrongly ejected from the ring).
-  // Gseqs are assigned contiguously, so the archive is a base-offset deque:
-  // entry for gseq g lives at index (g - archive_base_). Entries below
-  // (global acked floor - archive_retention) are pruned from the front.
-  struct ArchiveEntry {
-    proto::DataMsg msg;
-    sim::SimTime assigned_at;
-  };
-  std::deque<ArchiveEntry> assigned_archive_;
-  GlobalSeq archive_base_ = 0;  // gseq of assigned_archive_.front()
-  GlobalSeq global_acked_floor_ = 0;  // min acked_floor_ over alive BRs
+  // Every assigned message not yet pruned, stored at its assignment time:
+  // the stand-in for fetching a missing copy from a peer ordering node's
+  // MQ when a BR has a hole (e.g. it was wrongly ejected from the ring).
+  // Gseqs are assigned contiguously, so it has no holes and its acked
+  // watermark is exactly the global acked floor (the minimum subtree-acked
+  // floor over alive BRs); archive_retention entries are kept behind it.
+  MessageQueue archive_{config_.options.archive_retention};
   std::size_t archive_peak_ = 0;
   std::atomic<std::size_t> submit_log_peak_{0};
 

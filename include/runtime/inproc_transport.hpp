@@ -53,6 +53,7 @@ class InProcNet {
 class InProcTransport final : public Transport {
  public:
   bool send(NodeId to, const std::vector<std::uint8_t>& bytes) override {
+    if (refuse_oversize(bytes)) return false;
     auto d = unframe(bytes.data(), bytes.size());
     if (!d) {
       ++send_failures_;

@@ -14,13 +14,13 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/delivery_chain.hpp"
+#include "core/message_queue.hpp"
 #include "core/ordering.hpp"
 #include "core/types.hpp"
 #include "obs/flight_recorder.hpp"
@@ -49,6 +49,9 @@ struct RuntimeOptions {
   int heartbeat_miss_limit = 4;
   std::int64_t retx_timeout_us = 30'000;
   int max_retx = 10;
+  // BR MQ window: the newest mq_retention gseqs are kept, acked by the
+  // subtree or not. Unlike ProtocolOptions::mq_retention, which counts
+  // entries kept behind the subtree-acked floor.
   std::size_t mq_retention = 8192;
   std::int64_t handshake_resend_us = 50'000;
   // Record message-lifecycle span timestamps (uplink-rx / assignment /
@@ -133,52 +136,6 @@ struct DeliveredRec {
   LocalSeq lseq = 0;
 };
 
-/// Base-offset buffer of ordered messages keyed by contiguous GlobalSeq:
-/// the BR's MQ retention window. Slots below base() have been pruned.
-class GseqBuffer {
- public:
-  GlobalSeq base() const { return base_; }
-  GlobalSeq end() const { return base_ + slots_.size(); }
-
-  bool contains(GlobalSeq g) const {
-    return g >= base_ && g < end() && slots_[idx(g)].has_value();
-  }
-
-  const proto::DataMsg* find(GlobalSeq g) const {
-    if (!contains(g)) return nullptr;
-    return &*slots_[idx(g)];
-  }
-
-  /// false when g is below base (stale) or already present (duplicate).
-  bool insert(GlobalSeq g, const proto::DataMsg& msg) {
-    if (g < base_) return false;
-    if (g >= end()) slots_.resize(static_cast<std::size_t>(g - base_) + 1);
-    if (slots_[idx(g)].has_value()) return false;
-    slots_[idx(g)] = msg;
-    return true;
-  }
-
-  /// Drop slots (filled or holes) from the front until at most `retention`
-  /// remain. Returns how many were dropped.
-  std::size_t prune_to(std::size_t retention) {
-    std::size_t dropped = 0;
-    while (slots_.size() > retention) {
-      slots_.pop_front();
-      ++base_;
-      ++dropped;
-    }
-    return dropped;
-  }
-
- private:
-  std::size_t idx(GlobalSeq g) const {
-    return static_cast<std::size_t>(g - base_);
-  }
-
-  std::deque<std::optional<proto::DataMsg>> slots_;
-  GlobalSeq base_ = 0;
-};
-
 // ---------------------------------------------------------------------------
 // Border router / ordering node
 
@@ -213,7 +170,7 @@ class BrRuntime final : public RuntimeNode {
   // registry, so it is also safe to sample live (values may be mid-burst).
   RuntimeCounters counters() const;
   std::uint64_t assigned() const { return assigned_; }
-  GlobalSeq mq_floor() const { return mq_.base(); }
+  GlobalSeq mq_floor() const { return mq_.next_expected(); }
   std::uint64_t epoch() const { return epoch_; }
 
   /// Unified metric registry (atomic — safe to read while the loop runs).
@@ -300,7 +257,9 @@ class BrRuntime final : public RuntimeNode {
   std::uint64_t next_serial_ = 2;  // regeneration lineage (initial token: 1)
   std::deque<proto::DataMsg> wq_;  // WQ: in-order uplink awaiting the token
   std::unordered_map<std::uint32_t, SourceIn> uplink_;
-  GseqBuffer mq_;
+  // Ordered messages by gseq, trimmed to the newest mq_retention gseqs
+  // (see store_and_forward_ordered); next_expected() is the MQ floor.
+  core::MessageQueue mq_{0};
   // Witnesses every ordered message stored in the MQ, this BR's and its
   // peers', so a regenerated token reissues no gseq or per-group seq.
   core::SeqHighWater high_water_;

@@ -85,6 +85,7 @@ struct LoopbackResult {
   std::uint64_t frames_received = 0;
   std::uint64_t frames_malformed = 0;
   std::uint64_t send_failures = 0;
+  std::uint64_t send_oversize = 0;  // of send_failures: frames too large
 };
 
 LoopbackResult run_loopback(const LoopbackSpec& spec);

@@ -114,7 +114,7 @@ class Transport {
 
   /// Send pre-framed bytes to `to`. Non-blocking, UDP semantics: false
   /// means the frame was dropped locally (unknown address, full socket
-  /// buffer); true is no delivery guarantee.
+  /// buffer, larger than kMaxDatagramBytes); true is no delivery guarantee.
   virtual bool send(NodeId to, const std::vector<std::uint8_t>& bytes) = 0;
 
   /// Block up to timeout_us for one datagram (timeout_us <= 0 only takes
@@ -126,6 +126,8 @@ class Transport {
   std::uint64_t received() const { return received_; }
   std::uint64_t dropped_malformed() const { return dropped_malformed_; }
   std::uint64_t send_failures() const { return send_failures_; }
+  /// Frames refused for exceeding kMaxDatagramBytes (also send failures).
+  std::uint64_t send_oversize() const { return send_oversize_; }
 
   // Framing conveniences.
   bool send_msg(NodeId to, const proto::Message& msg,
@@ -139,6 +141,15 @@ class Transport {
  protected:
   explicit Transport(NodeId self) : self_(self) {}
 
+  /// Count and refuse a frame no receiver would accept: unframe() drops
+  /// it as malformed, which would hide the sender's fault.
+  bool refuse_oversize(const std::vector<std::uint8_t>& bytes) {
+    if (bytes.size() <= kMaxDatagramBytes) return false;
+    ++send_oversize_;
+    ++send_failures_;
+    return true;
+  }
+
   NodeId self_;
   // Touched by the owning node's loop thread only; reads from the
   // orchestrator happen after the loops have joined.
@@ -146,6 +157,7 @@ class Transport {
   std::uint64_t received_ = 0;
   std::uint64_t dropped_malformed_ = 0;
   std::uint64_t send_failures_ = 0;
+  std::uint64_t send_oversize_ = 0;
 };
 
 }  // namespace ringnet::runtime

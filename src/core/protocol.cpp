@@ -450,14 +450,14 @@ void RingNetProtocol::token_arrive(NodeId br, proto::OrderingToken token) {
         assign_hist_.record(static_cast<std::uint64_t>((sim_.now() - *at).us));
       }
     }
-    assert(m.gseq == archive_base_ + assigned_archive_.size());
-    assigned_archive_.push_back(ArchiveEntry{m, sim_.now()});
+    [[maybe_unused]] const bool archived = archive_.store(m, sim_.now());
+    assert(archived);
     batch.push_back(std::move(m));
   });
   if (!batch.empty()) {
-    archive_peak_ = std::max(archive_peak_, assigned_archive_.size());
+    archive_peak_ = std::max(archive_peak_, archive_.size());
     sim_.metrics().gauge_max(mid_.buf_archive_peak,
-                             static_cast<double>(assigned_archive_.size()));
+                             static_cast<double>(archive_.size()));
     sim_.metrics().gauge_max(
         mid_.buf_submitlog_peak,
         static_cast<double>(
@@ -763,9 +763,9 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
       // wrongly ejected from the ring): once the copy is overdue, fetch
       // it from a peer ordering node, which stores it here and
       // re-forwards down-tree.
-      const proto::DataMsg* arch = archive_lookup(g);
+      const proto::DataMsg* arch = archive_.find(g);
       if (!arch) continue;
-      if (archive_stored_at(g) + grace > sim_.now()) continue;  // in flight
+      if (*archive_.stored_at(g) + grace > sim_.now()) continue;  // in flight
       sim_.metrics().incr(mid_.retransmits);
       const sim::SimTime delay =
           hop_delay(config_.hierarchy.wan,
@@ -786,7 +786,7 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
       continue;
     }
     if (*stored + grace > sim_.now()) continue;
-    const auto msg = b.mq_.fetch(g);
+    const proto::DataMsg* msg = b.mq_.find(g);
     if (!msg) continue;
     const sim::SimTime delay = downlink_delay(mh, data_bytes());
     sim_.metrics().incr(mid_.retransmits);
@@ -814,8 +814,8 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
   for (GlobalSeq g = from;
        g < high_water_.next_gseq() && g <= from + kResendWindow; ++g) {
     if (b.mq_.stored_at(g)) continue;
-    const proto::DataMsg* arch = archive_lookup(g);
-    if (!arch || archive_stored_at(g) + grace > sim_.now()) continue;
+    const proto::DataMsg* arch = archive_.find(g);
+    if (!arch || *archive_.stored_at(g) + grace > sim_.now()) continue;
     sim_.metrics().incr(mid_.retransmits);
     const sim::SimTime d =
         hop_delay(config_.hierarchy.wan,
@@ -834,16 +834,16 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
   const std::size_t spliced = chain.resend(
       kResendWindow,
       [&](GlobalSeq g) {
-        const auto in_mq = b.mq_.stored_at(g);
-        if (!in_mq && !archive_lookup(g)) return ChainLog::Verdict::Lost;
-        const sim::SimTime at = in_mq ? *in_mq : archive_stored_at(g);
+        auto at = b.mq_.stored_at(g);
+        if (!at) at = archive_.stored_at(g);
+        if (!at) return ChainLog::Verdict::Lost;
         // Normally in flight: do not duplicate it.
-        return at + grace > sim_.now() ? ChainLog::Verdict::Wait
-                                       : ChainLog::Verdict::Send;
+        return *at + grace > sim_.now() ? ChainLog::Verdict::Wait
+                                        : ChainLog::Verdict::Send;
       },
       [&](GlobalSeq g, GlobalSeq link) {
-        const auto from_mq = b.mq_.fetch(g);
-        proto::DataMsg copy = from_mq ? *from_mq : *archive_lookup(g);
+        const proto::DataMsg* from_mq = b.mq_.find(g);
+        proto::DataMsg copy = from_mq ? *from_mq : *archive_.find(g);
         copy.prev_chain = link;
         sim_.metrics().incr(mid_.retransmits);
         const sim::SimTime delay = downlink_delay(mh, data_bytes(copy));
@@ -869,21 +869,22 @@ void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
   chain.restart(tail);
   m.inbox_.restart();
   if (high_water_.next_gseq() == 0) return;
-  if (tail < archive_base_) {
-    // Messages between the tail and the archive's base fell out of
+  const GlobalSeq archive_front = archive_.valid_front();
+  if (tail < archive_front) {
+    // Messages between the tail and the archive's front fell out of
     // retention while the member was away: they are really lost. The
     // count is in gseqs, an overestimate of destined messages (holes for
     // other groups are counted too) — exact accounting would need the
     // pruned payloads back.
     sim_.metrics().incr(mid_.gaps_skipped);
-    sim_.metrics().incr(mid_.gap_skipped_msgs, archive_base_ - tail);
+    sim_.metrics().incr(mid_.gap_skipped_msgs, archive_front - tail);
     sim_.trace().record(sim::TraceKind::GapSkip, sim_.now(), mh,
-                        archive_base_ - tail);
+                        archive_front - tail);
   }
   const proto::GroupSet& mine = mh_groups_[i];
-  const GlobalSeq from = tail > archive_base_ ? tail : archive_base_;
+  const GlobalSeq from = std::max(tail, archive_front);
   for (GlobalSeq g = from; g < high_water_.next_gseq(); ++g) {
-    const proto::DataMsg* arch = archive_lookup(g);
+    const proto::DataMsg* arch = archive_.find(g);
     if (!arch || !arch->groups.intersects(mine)) continue;
     proto::DataMsg copy = *arch;
     // Uncapped: the whole replay is in flight, so no entry may fall out.
@@ -921,11 +922,7 @@ void RingNetProtocol::mark_acked(BrNode& b) {
       floor = std::min(floor, member_wm_[mh.index()]);
     }
   }
-  b.acked_floor_ = std::max(b.acked_floor_, b.mq_.next_expected());
-  while (b.acked_floor_ < floor && b.mq_.contains(b.acked_floor_)) {
-    b.mq_.mark_delivered(b.acked_floor_);
-    ++b.acked_floor_;
-  }
+  b.mq_.ack_below(floor);
   // Under sharding this runs inside a BR domain, where peer floors are not
   // readable; the global fold happens at the next token hop instead.
   if (!migrate_) advance_global_floor();
@@ -940,26 +937,16 @@ void RingNetProtocol::advance_global_floor() {
   bool any = false;
   for (const auto& br : brs_) {
     if (!br.alive_) continue;
-    floor = any ? std::min(floor, br.acked_floor_) : br.acked_floor_;
+    const GlobalSeq acked = br.mq_.next_expected();
+    floor = any ? std::min(floor, acked) : acked;
     any = true;
   }
-  if (!any || floor <= global_acked_floor_) return;
-  global_acked_floor_ = floor;
-  prune_archive();
-}
-
-void RingNetProtocol::prune_archive() {
-  const GlobalSeq keep =
-      static_cast<GlobalSeq>(config_.options.archive_retention);
-  const GlobalSeq cut =
-      global_acked_floor_ > keep ? global_acked_floor_ - keep : 0;
+  if (!any) return;
   std::size_t pruned = 0;
-  while (archive_base_ < cut && !assigned_archive_.empty()) {
-    release_submit(assigned_archive_.front().msg);
-    assigned_archive_.pop_front();
-    ++archive_base_;
+  archive_.ack_below(floor, [&](const proto::DataMsg& msg) {
+    release_submit(msg);
     ++pruned;
-  }
+  });
   if (pruned > 0) sim_.metrics().incr(mid_.archive_pruned, pruned);
 }
 
@@ -977,20 +964,6 @@ void RingNetProtocol::release_submit(const proto::DataMsg& msg) {
     }
   }
   src.submit_log.release(msg.lseq);
-}
-
-const proto::DataMsg* RingNetProtocol::archive_lookup(GlobalSeq gseq) const {
-  if (gseq < archive_base_ || gseq - archive_base_ >= assigned_archive_.size())
-    return nullptr;
-  return &assigned_archive_[static_cast<std::size_t>(gseq - archive_base_)]
-              .msg;
-}
-
-sim::SimTime RingNetProtocol::archive_stored_at(GlobalSeq gseq) const {
-  if (gseq < archive_base_ || gseq - archive_base_ >= assigned_archive_.size())
-    return sim::SimTime::zero();
-  return assigned_archive_[static_cast<std::size_t>(gseq - archive_base_)]
-      .assigned_at;
 }
 
 // ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ void BrRuntime::store_and_forward_ordered(const proto::DataMsg& msg,
   // live token, so the regeneration watchdog must not fire merely because
   // the token itself is crawling behind storm-deep inboxes.
   if (msg.epoch == epoch_) last_token_seen_us_ = now_us;
-  if (!mq_.insert(msg.gseq, msg)) {
+  if (!mq_.store(msg, sim::SimTime{now_us})) {
     metrics_.incr(mid_.duplicates);
     return;
   }
@@ -279,12 +279,17 @@ void BrRuntime::store_and_forward_ordered(const proto::DataMsg& msg,
   // for this BR's subtree (emplace keeps the earliest arrival).
   if (cfg_.opts.record_spans) span_relay_rx_us_.emplace(msg.gseq, now_us);
   high_water_.witness(msg);
-  mq_.prune_to(cfg_.opts.mq_retention);
+  // Keep the newest mq_retention gseqs, acked or not: a BR hole is pulled
+  // from a peer's MQ, and nothing keeps that copy until this BR's members
+  // have acked it.
+  const GlobalSeq newest = high_water_.next_gseq();
+  const GlobalSeq keep = cfg_.opts.mq_retention;
+  if (newest > keep) mq_.skip_to(newest - keep);
   if (multi()) {
     // Chain links must rise monotonically per member, so chain forwarding
     // walks the MQ in gseq order; an out-of-order peer distribution parks
     // in the MQ until the hole fills (peer pull closes persistent holes).
-    if (chain_next_ < mq_.base()) chain_next_ = mq_.base();
+    chain_next_ = std::max(chain_next_, mq_.next_expected());
     while (const proto::DataMsg* next = mq_.find(chain_next_)) {
       forward_chain(*next);
       ++chain_next_;
@@ -409,12 +414,12 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
   if (!stalled(m, ack.watermark, behind, now_us)) return;
   const GlobalSeq want = m.next_expected;
   fr_.record(obs::FrEvent::StallResync, now_us, ack.member.v, want);
-  if (want < mq_.base()) {
+  if (want < mq_.next_expected()) {
     // The MQ no longer retains the member's gap: push its floor forward so
     // it gap-skips (those messages are "really lost" for this member).
     tr_.send_msg(m.ap,
-                 proto::Message(proto::DeliveryAckMsg{kRuntimeGroup,
-                                                      ack.member, mq_.base()}),
+                 proto::Message(proto::DeliveryAckMsg{
+                     kRuntimeGroup, ack.member, mq_.next_expected()}),
                  ack.member);
     metrics_.incr(mid_.floor_advances);
     return;
@@ -497,7 +502,7 @@ void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
       kResendWindow,
       [&](GlobalSeq g) {
         if (mq_.contains(g)) return Verdict::Send;
-        if (g >= mq_.base()) {
+        if (g >= mq_.next_expected()) {
           // MQ hole inside the retained window: refill via peer pull and
           // retry next window — the member can't advance through it anyway.
           request_pull(g, now_us);

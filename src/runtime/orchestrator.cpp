@@ -283,6 +283,7 @@ LoopbackResult run_loopback(const LoopbackSpec& raw_spec) {
     out.frames_received += tr->received();
     out.frames_malformed += tr->dropped_malformed();
     out.send_failures += tr->send_failures();
+    out.send_oversize += tr->send_oversize();
   }
   out.order_violation = spec.groups.multi()
                             ? core::check_pairwise_order(out.log)

@@ -87,6 +87,7 @@ void UdpTransport::rebind(std::uint16_t port) {
 }
 
 bool UdpTransport::send(NodeId to, const std::vector<std::uint8_t>& bytes) {
+  if (refuse_oversize(bytes)) return false;
   const auto ep = book_->find(to);
   if (!ep || fd_ < 0) {
     ++send_failures_;

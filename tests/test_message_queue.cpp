@@ -1,7 +1,10 @@
-// MessageQueue (MQ) semantics: the contiguous acked watermark, worst-case
-// out-of-order gap windows, duplicate rejection, retention / ValidFront
-// pruning, and cursor skipping. (Member-side delivery order is covered by
+// MessageQueue (MQ) semantics: the contiguous acked watermark (ack_below
+// stops at a hole), worst-case out-of-order gap windows, duplicate
+// rejection, retention / ValidFront pruning and the prune callback, and
+// cursor skipping. (Member-side delivery order is covered by
 // test_delivery_chain.)
+
+#include <vector>
 
 #include "core/message_queue.hpp"
 #include "ringnet_test.hpp"
@@ -26,9 +29,9 @@ TEST(in_order_delivery) {
   for (GlobalSeq g = 0; g < 5; ++g) CHECK(mq.store(mk(g), sim::SimTime{0}));
   CHECK_EQ(mq.size(), std::size_t{5});
   CHECK_EQ(mq.next_expected(), GlobalSeq{0});
-  for (GlobalSeq g = 0; g < 5; ++g) mq.mark_delivered(g);
+  mq.ack_below(5);
   CHECK_EQ(mq.next_expected(), GlobalSeq{5});
-  CHECK(mq.fetch(4).has_value());  // retained behind the watermark
+  CHECK(mq.find(4) != nullptr);  // retained behind the watermark
 }
 
 TEST(worst_case_out_of_order_window) {
@@ -38,12 +41,12 @@ TEST(worst_case_out_of_order_window) {
   const GlobalSeq window = 512;
   for (GlobalSeq i = window; i-- > 1;) {
     CHECK(mq.store(mk(i), sim::SimTime{0}));
-    mq.mark_delivered(i);
+    mq.ack_below(window);
     CHECK_EQ(mq.next_expected(), GlobalSeq{0});
   }
   CHECK_EQ(mq.size(), static_cast<std::size_t>(window - 1));
   CHECK(mq.store(mk(0), sim::SimTime{0}));
-  mq.mark_delivered(0);
+  mq.ack_below(window);
   CHECK_EQ(mq.next_expected(), window);
   // Retention bounds what survives delivery.
   CHECK_EQ(mq.size(), std::size_t{16});
@@ -66,7 +69,7 @@ TEST(duplicates_rejected) {
   core::MessageQueue mq(4);
   CHECK(mq.store(mk(0), sim::SimTime{0}));
   CHECK(!mq.store(mk(0), sim::SimTime{1}));
-  mq.mark_delivered(0);
+  mq.ack_below(1);
   // Re-store of an already-delivered gseq is stale.
   CHECK(!mq.store(mk(0), sim::SimTime{2}));
 }
@@ -74,7 +77,7 @@ TEST(duplicates_rejected) {
 TEST(zero_retention_prunes_immediately) {
   core::MessageQueue mq(0);
   for (GlobalSeq g = 0; g < 10; ++g) mq.store(mk(g), sim::SimTime{0});
-  for (GlobalSeq g = 0; g < 10; ++g) mq.mark_delivered(g);
+  mq.ack_below(10);
   CHECK(mq.empty());
   CHECK_EQ(mq.valid_front(), GlobalSeq{10});
 }
@@ -87,7 +90,7 @@ TEST(valid_front_ignores_front_hole) {
   CHECK_EQ(mq.valid_front(), GlobalSeq{0});
   // Once 0..5 are delivered and pruned past, the front really moves.
   for (GlobalSeq g = 0; g < 5; ++g) mq.store(mk(g), sim::SimTime{0});
-  for (GlobalSeq g = 0; g <= 5; ++g) mq.mark_delivered(g);
+  mq.ack_below(6);
   CHECK_EQ(mq.valid_front(), GlobalSeq{2});  // retention 4 behind wm 5
 }
 
@@ -101,7 +104,7 @@ TEST(skip_to_advances_cursor) {
   // skip_to never rewinds.
   mq.skip_to(50);
   CHECK_EQ(mq.next_expected(), GlobalSeq{100});
-  mq.mark_delivered(100);
+  mq.ack_below(101);
   CHECK_EQ(mq.next_expected(), GlobalSeq{101});
 }
 
@@ -110,8 +113,57 @@ TEST(stored_at_visible_until_pruned) {
   mq.store(mk(0), sim::SimTime{42});
   CHECK(mq.stored_at(0).has_value());
   CHECK_EQ(mq.stored_at(0)->us, std::int64_t{42});
-  mq.mark_delivered(0);
+  mq.ack_below(1);
   CHECK(!mq.stored_at(0).has_value());
+}
+
+TEST(ack_below_stops_at_hole_until_filled) {
+  core::MessageQueue mq(0);
+  for (GlobalSeq g : {0u, 1u, 3u, 4u}) mq.store(mk(g), sim::SimTime{0});
+  mq.ack_below(5);
+  CHECK_EQ(mq.next_expected(), GlobalSeq{2});  // 2 is still in flight
+  CHECK(mq.contains(3));
+  // The late fill lets the watermark run on to the floor, never past it.
+  CHECK(mq.store(mk(2), sim::SimTime{0}));
+  mq.store(mk(5), sim::SimTime{0});
+  mq.ack_below(5);
+  CHECK_EQ(mq.next_expected(), GlobalSeq{5});
+  CHECK(mq.contains(5));
+}
+
+TEST(on_prune_sees_pruned_messages_in_gseq_order) {
+  core::MessageQueue mq(2);
+  for (GlobalSeq g = 0; g < 8; ++g) mq.store(mk(g), sim::SimTime{0});
+  std::vector<GlobalSeq> pruned;
+  const auto note = [&](const proto::DataMsg& m) { pruned.push_back(m.gseq); };
+  mq.ack_below(4, note);
+  CHECK_EQ(pruned.size(), std::size_t{2});  // 0, 1; 2 and 3 retained
+  mq.ack_below(7, note);
+  CHECK_EQ(pruned.size(), std::size_t{5});
+  for (std::size_t i = 0; i < pruned.size(); ++i) {
+    CHECK_EQ(pruned[i], static_cast<GlobalSeq>(i));
+  }
+  // A floor that does not move prunes nothing more.
+  mq.ack_below(7, note);
+  CHECK_EQ(pruned.size(), std::size_t{5});
+}
+
+TEST(contiguous_queue_keeps_retention_behind_floor) {
+  // The assignment archive's shape: contiguous stores acked at a rising
+  // floor keep exactly the gseqs in [floor - retention, newest].
+  const std::size_t keep = 16;
+  core::MessageQueue mq(keep);
+  GlobalSeq next = 0;
+  for (GlobalSeq floor : {5u, 16u, 17u, 40u, 100u}) {
+    while (next < floor + 10) mq.store(mk(next++), sim::SimTime{0});
+    mq.ack_below(floor);
+    const GlobalSeq cut = floor > keep ? floor - keep : 0;
+    CHECK_EQ(mq.next_expected(), floor);
+    CHECK_EQ(mq.valid_front(), cut);
+    CHECK_EQ(mq.size(), static_cast<std::size_t>(next - cut));
+    CHECK(mq.contains(cut));
+    if (cut > 0) CHECK(!mq.contains(cut - 1));
+  }
 }
 
 TEST_MAIN()

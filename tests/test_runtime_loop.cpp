@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/groups.hpp"
 #include "proto/messages.hpp"
 #include "ringnet_test.hpp"
 #include "runtime/inproc_transport.hpp"
@@ -677,6 +678,85 @@ TEST(br_regeneration_keeps_peer_group_seqs) {
   CHECK(regen.has_value());
   CHECK_EQ(regen->next_gseq(), GlobalSeq{20});
   CHECK_EQ(regen->group_seq(GroupId{2}), std::uint64_t{20});
+}
+
+TEST(br_mq_keeps_newest_window) {
+  // Peer BR1's distributions of gseq 1-40 reach BR0 with gseq 0 lost. The
+  // MQ keeps the newest mq_retention gseqs whether or not the subtree has
+  // acked them, so its floor moves past the hole at 0 and past everything a
+  // member stalled at 0 still lacks.
+  for (const bool multi : {false, true}) {
+    InProcNet net;
+    const auto br0 = NodeId::make(Tier::BR, 0);
+    const auto br1 = NodeId::make(Tier::BR, 1);
+    const auto ap = NodeId::make(Tier::AP, 0);
+    const auto mh = NodeId::make(Tier::MH, 0);
+    const auto ss = NodeId{0x00FFFFFEu};
+    auto tr = net.attach(br0);
+    auto ap_tr = net.attach(ap);
+    (void)net.attach(br1);
+    (void)net.attach(ss);
+
+    BrConfig cfg;
+    cfg.self = br0;
+    cfg.ss = ss;
+    cfg.ring = {br0, br1};
+    cfg.own_aps = {ap};
+    cfg.members = {mh};
+    cfg.member_ap = {ap};
+    cfg.opts.mq_retention = 8;
+    if (multi) {
+      cfg.groups.count = 4;
+      cfg.groups.groups_per_mh = 1;
+      cfg.groups.dest_groups = 1;
+    }
+    BrRuntime br(cfg, *tr);
+    br.on_start(0);
+    for (GlobalSeq g = 1; g <= 40; ++g) {
+      proto::DataMsg m = ordered_data(g, NodeId{5}, g);
+      m.ordering_node = br1;
+      if (multi) {
+        m.groups = core::member_groups(mh.index(), cfg.groups);
+        m.group_seqs[0] = g;
+      }
+      Datagram d = proto_datagram(proto::Message(m));
+      d.src = br1;
+      br.on_datagram(d, 50);
+    }
+    CHECK_EQ(br.mq_floor(), GlobalSeq{33});
+
+    std::vector<GlobalSeq> forwarded;
+    while (const auto d = ap_tr->recv(0)) {
+      const auto msg = proto::decode(d->payload.data(), d->payload.size());
+      if (msg && msg->type() == proto::MsgType::Data) {
+        forwarded.push_back(msg->data().gseq);
+      }
+    }
+    CHECK_EQ(forwarded.size(), std::size_t{40});
+    for (std::size_t i = 0; i < forwarded.size(); ++i) {
+      CHECK_EQ(forwarded[i], static_cast<GlobalSeq>(i + 1));
+    }
+    if (multi) continue;  // chain forwarding resumed at gseq 1
+
+    // A member stalled at 0 is pushed to the floor once: 1-32 are gone.
+    for (int i = 0; i < 4; ++i) {
+      br.on_datagram(proto_datagram(proto::Message(proto::DeliveryAckMsg{
+                         kRuntimeGroup, mh, 0})),
+                     100);
+    }
+    CHECK_EQ(br.counters().floor_advances, 1u);
+    CHECK_EQ(br.counters().retransmits, 0u);
+    std::optional<proto::DeliveryAckMsg> push;
+    while (const auto d = ap_tr->recv(0)) {
+      const auto msg = proto::decode(d->payload.data(), d->payload.size());
+      if (msg && msg->type() == proto::MsgType::DeliveryAck) push = msg->ack();
+    }
+    CHECK(push.has_value());
+    if (push) {
+      CHECK_EQ(push->member, mh);
+      CHECK_EQ(push->watermark, GlobalSeq{33});
+    }
+  }
 }
 
 TEST(loopback_spans_capture_all_stages) {

@@ -1,7 +1,8 @@
 // Real-socket transport tests: framing round-trips over actual UDP
 // loopback sockets, rejection of truncated/corrupted datagrams (the fuzz
 // sweep must never crash or mis-parse), distinct ephemeral ports across
-// many live sockets, sub-millisecond receive waits, and port rebinding
+// many live sockets, sub-millisecond receive waits, oversize frames
+// refused at the sender (UDP and in-process), and port rebinding
 // after a node restart. Ephemeral ports throughout so parallel ctest runs
 // never collide.
 
@@ -13,6 +14,7 @@
 
 #include "proto/messages.hpp"
 #include "ringnet_test.hpp"
+#include "runtime/inproc_transport.hpp"
 #include "runtime/transport.hpp"
 #include "runtime/udp_transport.hpp"
 #include "util/clock.hpp"
@@ -172,6 +174,39 @@ TEST(udp_unknown_destination_counts_send_failure) {
   CHECK(!t.send_msg(NodeId{99}, proto::Message(sample_data())));
   CHECK_EQ(t.send_failures(), 1u);
   CHECK_EQ(t.sent(), 0u);
+}
+
+TEST(oversize_frame_refused_at_sender) {
+  // A frame over kMaxDatagramBytes is the sender's fault: it is refused
+  // and counted there, never sent to be misreported as corruption.
+  const std::vector<std::uint8_t> big(61'000 - kFrameHeaderBytes, 0xAB);
+  const auto oversize = frame(NodeId{2}, FrameKind::Proto, big);
+  const std::vector<std::uint8_t> fits(kMaxDatagramBytes - kFrameHeaderBytes,
+                                       0xCD);
+  const auto at_limit = frame(NodeId{2}, FrameKind::Proto, fits);
+
+  auto book = std::make_shared<AddressBook>();
+  UdpTransport rx(NodeId{1}, book);
+  UdpTransport tx(NodeId{2}, book);
+  book->set(NodeId{1}, rx.local_endpoint());
+  book->set(NodeId{2}, tx.local_endpoint());
+  CHECK(!tx.send(NodeId{1}, oversize));
+  CHECK_EQ(tx.send_oversize(), 1u);
+  CHECK_EQ(tx.send_failures(), 1u);
+  CHECK_EQ(tx.sent(), 0u);
+  CHECK(tx.send(NodeId{1}, at_limit));  // the limit itself still goes out
+  const auto got = rx.recv(kRecvBudgetUs);
+  CHECK(got.has_value() && got->payload == fits);
+  CHECK_EQ(rx.dropped_malformed(), 0u);
+
+  InProcNet net;
+  auto a = net.attach(NodeId{1});
+  auto b = net.attach(NodeId{2});
+  CHECK(!a->send(NodeId{2}, oversize));
+  CHECK_EQ(a->send_oversize(), 1u);
+  CHECK_EQ(a->send_failures(), 1u);
+  CHECK(!b->recv(0).has_value());
+  CHECK_EQ(b->dropped_malformed(), 0u);
 }
 
 TEST(udp_ephemeral_ports_are_distinct) {

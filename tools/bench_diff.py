@@ -49,6 +49,7 @@ DEFAULT_GATES = [
     r"BM_FlightRecorderRecord",
     r"BM_MemberInbox.*",
     r"BM_TokenAssign.*",
+    r"BM_MessageQueue.*",
 ]
 
 
