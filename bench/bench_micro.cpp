@@ -287,7 +287,7 @@ BENCHMARK(BM_SchedulerThroughput);
 
 void BM_MetricsIncrStringKey(benchmark::State& state) {
   // The pre-interning hot path: every incr pays a string hash + lookup.
-  sim::Metrics m;
+  obs::Metrics m;
   for (auto _ : state) {
     m.incr("arq.retransmits");
   }
@@ -298,7 +298,7 @@ BENCHMARK(BM_MetricsIncrStringKey);
 
 void BM_MetricsIncrInterned(benchmark::State& state) {
   // The protocol's hot path: handles interned once, incr is a vector index.
-  sim::Metrics m;
+  obs::Metrics m;
   const auto id = m.intern("arq.retransmits");
   for (auto _ : state) {
     m.incr(id);

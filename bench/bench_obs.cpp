@@ -97,12 +97,12 @@ void BM_DistributeBatchDeliver_Spans(benchmark::State& state) {
 }
 BENCHMARK(BM_DistributeBatchDeliver_Spans)->Unit(benchmark::kMillisecond);
 
-// Registry micro: hot-path incr through an interned handle, with and
+// Registry micro: hot-path incr through a names.hpp handle, with and
 // without a concurrent-interning-shaped access pattern. Guards the chunked
 // atomic slot design against an accidental lock on the incr path.
 void BM_MetricsIncr(benchmark::State& state) {
   obs::Metrics m;
-  const auto id = m.intern(obs::names::kMhDelivered);
+  const obs::Metrics::MetricId id = obs::names::kMhDelivered;
   for (auto _ : state) {
     for (int i = 0; i < 1024; ++i) m.incr(id);
     benchmark::DoNotOptimize(m.counter(id));

@@ -1,11 +1,13 @@
 #pragma once
 // Unified metrics registry shared by the deterministic simulation and the
-// real-socket runtime. Names are interned once into dense handles; hot
-// paths hold a MetricId and every incr/gauge_max is an atomic slot write,
-// not a string-keyed tree lookup. Mutation is thread-safe (relaxed
-// increments, CAS-max gauges) so parallel shards and runtime threads share
-// one registry: additions commute and maxima are order-free, which keeps
-// totals identical between the sharded and single-heap sim engines.
+// real-socket runtime. Every registry holds the obs/names.hpp counters at
+// their fixed ids from construction, so hot paths pass a names::Counter and
+// every incr/gauge_max is an atomic slot write, with no per-registry
+// interning; other names (benches, tests) are interned after them.
+// Mutation is thread-safe (relaxed increments, CAS-max gauges) so parallel
+// shards and runtime threads share one registry: additions commute and
+// maxima are order-free, which keeps totals identical between the sharded
+// and single-heap sim engines.
 //
 // intern() is safe for concurrent first-intern: the name map is mutex-
 // guarded and slot storage lives in fixed-size chunks published through
@@ -24,11 +26,14 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "obs/names.hpp"
 #include "stats/histogram.hpp"
 #include "util/annotations.hpp"
 #include "util/sync.hpp"
@@ -43,14 +48,20 @@ class Metrics {
   /// `hist_shards` fixes the per-histogram shard count (one independent
   /// writer slot each); counters/gauges are atomic and need no shards.
   explicit Metrics(std::size_t hist_shards = 1)
-      : hist_shards_(hist_shards == 0 ? 1 : hist_shards) {}
+      : hist_shards_(hist_shards == 0 ? 1 : hist_shards) {
+    for (MetricId id = 0; id < names::kCounterCount; id += kChunk) {
+      ensure_chunk(slots_, id);
+    }
+  }
   Metrics(const Metrics&) = delete;
   Metrics& operator=(const Metrics&) = delete;
 
-  /// Idempotent: interning the same name again returns the same handle.
-  /// Safe to call concurrently with other intern() calls and with hot-path
-  /// mutation through previously returned handles.
+  /// Idempotent: interning the same name again returns the same handle,
+  /// and a well-known name returns its names::Counter id. Safe to call
+  /// concurrently with other intern() calls and with hot-path mutation
+  /// through previously returned handles.
   MetricId intern(const std::string& name) {
+    if (const MetricId id = well_known(name); id != kNoId) return id;
     util::MutexLock lock(mu_);
     const auto [it, inserted] = ids_.emplace(name, next_id_);
     if (inserted) {
@@ -83,32 +94,27 @@ class Metrics {
     incr(intern(name), delta);
   }
   std::uint64_t counter(const std::string& name) const {
-    util::MutexLock lock(mu_);
-    const auto it = ids_.find(name);
-    if (it == ids_.end()) return 0;
-    const MetricId id = it->second;
-    return slot(id).counter.load(std::memory_order_relaxed);
+    const MetricId id = find_id(name);
+    return id == kNoId ? 0 : counter(id);
   }
   void gauge_max(const std::string& name, double value) {
     gauge_max(intern(name), value);
   }
   double gauge(const std::string& name) const {
-    util::MutexLock lock(mu_);
-    const auto it = ids_.find(name);
-    if (it == ids_.end()) return 0.0;
-    const MetricId id = it->second;
-    return slot(id).gauge.load(std::memory_order_relaxed);
+    const MetricId id = find_id(name);
+    return id == kNoId ? 0.0 : gauge(id);
   }
 
-  /// Visit every (name, counter, gauge) triple. Snapshot-consistent only
-  /// after quiescence; live values are relaxed reads.
+  /// Visit every (name, counter, gauge) triple: each well-known name, then
+  /// each interned one. Snapshot-consistent only after quiescence; live
+  /// values are relaxed reads.
   template <typename Fn>
   void for_each_counter(Fn&& fn) const {
-    util::MutexLock lock(mu_);
-    for (const auto& [name, id] : ids_) {
-      fn(name, slot(id).counter.load(std::memory_order_relaxed),
-         slot(id).gauge.load(std::memory_order_relaxed));
+    for (MetricId id = 0; id < names::kCounterCount; ++id) {
+      fn(std::string{names::kCounterNames[id]}, counter(id), gauge(id));
     }
+    util::MutexLock lock(mu_);
+    for (const auto& [name, id] : ids_) fn(name, counter(id), gauge(id));
   }
 
   // --- histograms (sharded, merge-on-read) ---
@@ -208,6 +214,30 @@ class Metrics {
     }
   }
 
+  static constexpr MetricId kNoId = std::numeric_limits<MetricId>::max();
+
+  /// The fixed id of a well-known name, or kNoId. One table per process,
+  /// built on first use, so building a registry costs no per-name work.
+  static MetricId well_known(std::string_view name) {
+    static const std::unordered_map<std::string_view, MetricId> table = [] {
+      std::unordered_map<std::string_view, MetricId> t;
+      for (MetricId id = 0; id < names::kCounterCount; ++id) {
+        t.emplace(names::kCounterNames[id], id);
+      }
+      return t;
+    }();
+    const auto it = table.find(name);
+    return it == table.end() ? kNoId : it->second;
+  }
+
+  /// The id `name` already has, or kNoId; never interns.
+  MetricId find_id(const std::string& name) const {
+    if (const MetricId id = well_known(name); id != kNoId) return id;
+    util::MutexLock lock(mu_);
+    const auto it = ids_.find(name);
+    return it == ids_.end() ? kNoId : it->second;
+  }
+
   Slot& slot(MetricId id) const { return slots_.at(id); }
   std::vector<stats::Histogram>& hist_slot(HistId id) const {
     return hists_.at(id);
@@ -216,7 +246,7 @@ class Metrics {
   mutable util::Mutex mu_;
   std::unordered_map<std::string, MetricId> ids_ RN_GUARDED_BY(mu_);
   std::unordered_map<std::string, HistId> hist_ids_ RN_GUARDED_BY(mu_);
-  MetricId next_id_ RN_GUARDED_BY(mu_) = 0;
+  MetricId next_id_ RN_GUARDED_BY(mu_) = names::kCounterCount;
   HistId next_hist_id_ RN_GUARDED_BY(mu_) = 0;
   std::size_t hist_shards_;
   ChunkTable<Slot> slots_;

@@ -1,57 +1,79 @@
 #pragma once
-// The one table of metric and span-stage names. Sim and runtime intern
-// from these constants so both report the same metric vocabulary, and the
-// RN008 lint rule rejects ad-hoc name literals on core/runtime paths —
-// a metric that exists under two spellings is worse than no metric.
+// The one table of metric and span-stage names. Each counter or gauge is
+// declared once, in RINGNET_OBS_COUNTERS: that line is both its spelling
+// (kCounterNames) and its registry handle (the Counter enumerator, a fixed
+// obs::Metrics id), so adding a counter is one line and a misspelled one
+// does not compile. RN008 rejects ad-hoc name literals and RN010 interning
+// on core/runtime paths — a metric under two spellings is worse than none.
+
+#include <cstdint>
 
 namespace ringnet::obs::names {
 
-// --- protocol counters (shared by the sim oracle and the UDP runtime) ---
-inline constexpr const char* kMhDelivered = "mh.delivered";
-inline constexpr const char* kAcksSent = "arq.acks_sent";
-inline constexpr const char* kRetransmits = "arq.retransmits";
-inline constexpr const char* kTokenHeld = "token.held";
-inline constexpr const char* kTokenDupDestroyed = "token.duplicates_destroyed";
-inline constexpr const char* kTokenRegenerated = "token.regenerated";
-inline constexpr const char* kTokenDropped = "token.dropped";
-// One count per repair that loses at least one message: a member floor
-// skip, a chain restart over a pruned range, a chain head relinked past a
-// dropped predecessor, or a resend walk that splices entries out.
-inline constexpr const char* kGapsSkipped = "mh.gaps_skipped";
-// Messages those repairs gave up on (really lost). The runtime's
-// RuntimeCounters::really_lost reads this name too.
-inline constexpr const char* kGapSkippedMsgs = "mh.gap_skipped_msgs";
-inline constexpr const char* kMembershipApplied = "membership.applied";
-inline constexpr const char* kMembershipRelayed = "membership.relayed";
-inline constexpr const char* kRingRepairs = "ring.repairs";
-inline constexpr const char* kRingRejoins = "ring.rejoins";
-inline constexpr const char* kHandoffCount = "handoff.count";
-inline constexpr const char* kHandoffHot = "handoff.hot";
-inline constexpr const char* kHandoffCold = "handoff.cold";
-inline constexpr const char* kArchivePruned = "archive.pruned";
-inline constexpr const char* kChurnLeaves = "churn.leaves";
-inline constexpr const char* kChurnRejoins = "churn.rejoins";
-inline constexpr const char* kBlackoutDropped = "blackout.dropped";
-inline constexpr const char* kBlackoutUplinkLost = "blackout.uplink_lost";
-inline constexpr const char* kParkDropped = "source.park_dropped";
-inline constexpr const char* kBufWqPeak = "buf.wq.peak";
-inline constexpr const char* kBufMqPeak = "buf.mq.peak";
-inline constexpr const char* kBufArchivePeak = "buf.archive.peak";
-inline constexpr const char* kBufSubmitlogPeak = "buf.submitlog.peak";
+// X(handle, spelling). Comments inside the list must be /* */: a `//`
+// comment would swallow the line splice.
+#define RINGNET_OBS_COUNTERS(X)                                              \
+  /* --- protocol counters (shared by the sim oracle and the UDP runtime) */ \
+  X(kMhDelivered, "mh.delivered")                                            \
+  X(kAcksSent, "arq.acks_sent")                                              \
+  X(kRetransmits, "arq.retransmits")                                         \
+  X(kTokenHeld, "token.held")                                                \
+  X(kTokenDupDestroyed, "token.duplicates_destroyed")                        \
+  X(kTokenRegenerated, "token.regenerated")                                  \
+  X(kTokenDropped, "token.dropped")                                          \
+  /* One count per repair that loses at least one message: a member floor    \
+     skip, a chain restart over a pruned range, a chain head relinked past a \
+     dropped predecessor, or a resend walk that splices entries out. */      \
+  X(kGapsSkipped, "mh.gaps_skipped")                                         \
+  /* Messages those repairs gave up on (really lost). The runtime's          \
+     RuntimeCounters::really_lost reads this name too. */                    \
+  X(kGapSkippedMsgs, "mh.gap_skipped_msgs")                                  \
+  X(kMembershipApplied, "membership.applied")                                \
+  X(kMembershipRelayed, "membership.relayed")                                \
+  X(kRingRepairs, "ring.repairs")                                            \
+  X(kRingRejoins, "ring.rejoins")                                            \
+  X(kHandoffCount, "handoff.count")                                          \
+  X(kHandoffHot, "handoff.hot")                                              \
+  X(kHandoffCold, "handoff.cold")                                            \
+  X(kArchivePruned, "archive.pruned")                                        \
+  X(kChurnLeaves, "churn.leaves")                                            \
+  X(kChurnRejoins, "churn.rejoins")                                          \
+  X(kBlackoutDropped, "blackout.dropped")                                    \
+  X(kBlackoutUplinkLost, "blackout.uplink_lost")                             \
+  X(kParkDropped, "source.park_dropped")                                     \
+  X(kBufWqPeak, "buf.wq.peak")                                               \
+  X(kBufMqPeak, "buf.mq.peak")                                               \
+  X(kBufArchivePeak, "buf.archive.peak")                                     \
+  X(kBufSubmitlogPeak, "buf.submitlog.peak")                                 \
+  /* --- runtime-only counters (RuntimeCounters fields, same vocabulary) */  \
+  X(kTokenRetx, "token.retx")                                                \
+  X(kFloorAdvances, "arq.floor_advances")                                    \
+  X(kDuplicates, "mh.duplicates")                                            \
+  X(kUplinkRetx, "arq.uplink_retx")                                          \
+  X(kUplinkDropped, "arq.uplink_dropped")                                    \
+  /* Uplinks refused by a full per-source reorder buffer (MH re-offers) */  \
+  X(kUplinkShed, "arq.uplink_shed")                                          \
+  X(kMalformed, "transport.malformed")                                       \
+  X(kSsHeartbeats, "ss.heartbeats")                                          \
+  /* --- scheduler engine counters --- */                                    \
+  X(kSchedSerialSteps, "sched.serial_steps")                                 \
+  X(kSchedWindows, "sched.windows")                                          \
+  X(kSchedInboxDeferred, "sched.inbox_deferred")
 
-// --- runtime-only counters (RuntimeCounters fields, same vocabulary) ---
-inline constexpr const char* kTokenRetx = "token.retx";
-inline constexpr const char* kFloorAdvances = "arq.floor_advances";
-inline constexpr const char* kDuplicates = "mh.duplicates";
-inline constexpr const char* kUplinkRetx = "arq.uplink_retx";
-inline constexpr const char* kUplinkDropped = "arq.uplink_dropped";
-inline constexpr const char* kMalformed = "transport.malformed";
-inline constexpr const char* kSsHeartbeats = "ss.heartbeats";
+/// A well-known counter/gauge: its value is its fixed obs::Metrics id.
+enum Counter : std::uint32_t {
+#define RINGNET_OBS_HANDLE(handle, spelling) handle,
+  RINGNET_OBS_COUNTERS(RINGNET_OBS_HANDLE)
+#undef RINGNET_OBS_HANDLE
+  kCounterCount
+};
 
-// --- scheduler engine counters ---
-inline constexpr const char* kSchedSerialSteps = "sched.serial_steps";
-inline constexpr const char* kSchedWindows = "sched.windows";
-inline constexpr const char* kSchedInboxDeferred = "sched.inbox_deferred";
+/// Spelling of each Counter, indexed by the handle.
+inline constexpr const char* kCounterNames[kCounterCount] = {
+#define RINGNET_OBS_SPELLING(handle, spelling) spelling,
+    RINGNET_OBS_COUNTERS(RINGNET_OBS_SPELLING)
+#undef RINGNET_OBS_SPELLING
+};
 
 // --- histograms ---
 inline constexpr const char* kMhLatencyUs = "mh.latency_us";

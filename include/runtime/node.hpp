@@ -73,7 +73,10 @@ struct RuntimeOptions {
   void scale_timers(double f);
 };
 
-/// Per-node counters, aggregated by the orchestrator after the loops stop.
+/// Per-node counters, aggregated by the orchestrator after the loops stop:
+/// a plain snapshot of the role's obs::Metrics registry, read through the
+/// obs/names.hpp handles. The registry is the source of truth; this struct
+/// and merge() stay because perfbench/ aggregates through them.
 struct RuntimeCounters {
   std::uint64_t tokens_held = 0;
   std::uint64_t token_regenerated = 0;
@@ -90,31 +93,9 @@ struct RuntimeCounters {
   std::uint64_t gaps_skipped = 0;
   std::uint64_t malformed = 0;         // undecodable proto payloads
 
+  /// Snapshot a role's registry; safe live (relaxed reads) and post-stop.
+  static RuntimeCounters read(const obs::Metrics& m);
   void merge(const RuntimeCounters& o);
-};
-
-/// Interned handles into a role's obs::Metrics registry — one per
-/// RuntimeCounters field, under the same names the sim oracle reports
-/// (obs/names.hpp), so counters line up across the two engines. Roles
-/// increment through these on the loop thread; the daemon reads the
-/// atomic registry live from its main thread.
-struct RuntimeMetricIds {
-  obs::Metrics::MetricId tokens_held = 0;
-  obs::Metrics::MetricId token_regenerated = 0;
-  obs::Metrics::MetricId token_dup_destroyed = 0;
-  obs::Metrics::MetricId token_retx = 0;
-  obs::Metrics::MetricId token_dropped = 0;
-  obs::Metrics::MetricId retransmits = 0;
-  obs::Metrics::MetricId floor_advances = 0;
-  obs::Metrics::MetricId duplicates = 0;
-  obs::Metrics::MetricId acks_sent = 0;
-  obs::Metrics::MetricId uplink_retx = 0;
-  obs::Metrics::MetricId uplink_dropped = 0;
-  obs::Metrics::MetricId really_lost = 0;
-  obs::Metrics::MetricId gaps_skipped = 0;
-  obs::Metrics::MetricId malformed = 0;
-
-  void intern_all(obs::Metrics& m);
 };
 
 /// One gseq assignment witnessed by the ordering BR (record_spans mode):
@@ -168,7 +149,7 @@ class BrRuntime final : public RuntimeNode {
 
   // Post-stop inspection. counters() assembles the struct from the atomic
   // registry, so it is also safe to sample live (values may be mid-burst).
-  RuntimeCounters counters() const;
+  RuntimeCounters counters() const { return RuntimeCounters::read(metrics_); }
   std::uint64_t assigned() const { return assigned_; }
   GlobalSeq mq_floor() const { return mq_.next_expected(); }
   std::uint64_t epoch() const { return epoch_; }
@@ -246,7 +227,6 @@ class BrRuntime final : public RuntimeNode {
   BrConfig cfg_;
   Transport& tr_;
   obs::Metrics metrics_;
-  RuntimeMetricIds mid_;
   obs::FlightRecorder fr_;
   // record_spans mode: assignment records and first ordered arrival of
   // each gseq in this BR's MQ (relay endpoint for its subtree's members).
@@ -304,7 +284,7 @@ class ApRuntime final : public RuntimeNode {
   void on_datagram(const Datagram& d, std::int64_t now_us) override;
   void on_tick(std::int64_t now_us) override;
 
-  RuntimeCounters counters() const;
+  RuntimeCounters counters() const { return RuntimeCounters::read(metrics_); }
   const obs::Metrics& metrics() const { return metrics_; }
   obs::FlightRecorder& flight_recorder() { return fr_; }
   const obs::FlightRecorder& flight_recorder() const { return fr_; }
@@ -316,7 +296,6 @@ class ApRuntime final : public RuntimeNode {
   ApConfig cfg_;
   Transport& tr_;
   obs::Metrics metrics_;
-  RuntimeMetricIds mid_;
   obs::FlightRecorder fr_;
   std::vector<NodeId> attached_;
   std::unordered_set<std::uint32_t> attached_set_;
@@ -358,7 +337,7 @@ class MhRuntime final : public RuntimeNode {
 
   // Post-stop inspection. counters() assembles the struct from the atomic
   // registry, so it is also safe to sample live (values may be mid-burst).
-  RuntimeCounters counters() const;
+  RuntimeCounters counters() const { return RuntimeCounters::read(metrics_); }
   const std::vector<DeliveredRec>& deliveries() const { return log_; }
   std::uint64_t delivered_count() const { return delivered_; }
   std::uint64_t submitted_count() const { return next_lseq_; }
@@ -405,7 +384,6 @@ class MhRuntime final : public RuntimeNode {
   MhConfig cfg_;
   Transport& tr_;
   obs::Metrics metrics_;
-  RuntimeMetricIds mid_;
   obs::FlightRecorder fr_;
   mutable util::Mutex lat_mu_;
   stats::Histogram live_lat_ RN_GUARDED_BY(lat_mu_);
@@ -479,7 +457,6 @@ class SsRuntime final : public RuntimeNode {
   SsConfig cfg_;
   Transport& tr_;
   obs::Metrics metrics_;
-  obs::Metrics::MetricId mid_heartbeats_ = 0;
   obs::FlightRecorder fr_;
   std::unordered_set<std::uint32_t> ready_;
   std::unordered_set<std::uint32_t> done_;

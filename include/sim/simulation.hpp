@@ -112,12 +112,6 @@ class Trace {
   std::deque<TraceEvent> events_;
 };
 
-/// The unified registry now lives in obs/metrics.hpp (thread-safe intern,
-/// atomic counters/gauges, sharded histograms) and is shared verbatim with
-/// the real-socket runtime; the sim-era name stays as an alias so every
-/// existing call site keeps compiling.
-using Metrics = obs::Metrics;
-
 /// Execution plan for a Simulation. domains == 0 is the classic
 /// single-context simulation. With domains > 0, threads selects the
 /// engine: 0 runs the single-heap deterministic oracle (same contexts,
@@ -177,8 +171,8 @@ class Simulation {
   util::Rng& rng() { return rngs_[current_ctx()]; }
   Trace& trace() { return traces_[current_ctx()]; }
   const Trace& trace() const { return traces_[current_ctx()]; }
-  Metrics& metrics() { return metrics_; }
-  const Metrics& metrics() const { return metrics_; }
+  obs::Metrics& metrics() { return metrics_; }
+  const obs::Metrics& metrics() const { return metrics_; }
 
   /// Every per-context trace (index global_domain() is the global one).
   const std::vector<Trace>& traces() const { return traces_; }
@@ -246,7 +240,7 @@ class Simulation {
   std::unique_ptr<ShardedScheduler> sharded_;
   std::vector<util::Rng> rngs_;
   std::vector<Trace> traces_;
-  Metrics metrics_;
+  obs::Metrics metrics_;
 };
 
 }  // namespace ringnet::sim

@@ -13,6 +13,8 @@
 
 namespace ringnet::core {
 
+namespace names = obs::names;
+
 namespace {
 
 // RN007-ok: the degenerate single-group deployment's one ring-wide group;
@@ -160,35 +162,6 @@ RingNetProtocol::RingNetProtocol(sim::Simulation& sim, ProtocolConfig config)
     const double norm = static_cast<double>(sources_.size()) / sum;
     for (auto& s : sources_) s.weight *= norm;
   }
-
-  auto& mx = sim_.metrics();
-  namespace names = obs::names;
-  mid_.mh_delivered = mx.intern(names::kMhDelivered);
-  mid_.acks_sent = mx.intern(names::kAcksSent);
-  mid_.retransmits = mx.intern(names::kRetransmits);
-  mid_.token_held = mx.intern(names::kTokenHeld);
-  mid_.token_dup_destroyed = mx.intern(names::kTokenDupDestroyed);
-  mid_.token_regenerated = mx.intern(names::kTokenRegenerated);
-  mid_.token_dropped = mx.intern(names::kTokenDropped);
-  mid_.gaps_skipped = mx.intern(names::kGapsSkipped);
-  mid_.gap_skipped_msgs = mx.intern(names::kGapSkippedMsgs);
-  mid_.membership_applied = mx.intern(names::kMembershipApplied);
-  mid_.membership_relayed = mx.intern(names::kMembershipRelayed);
-  mid_.ring_repairs = mx.intern(names::kRingRepairs);
-  mid_.ring_rejoins = mx.intern(names::kRingRejoins);
-  mid_.handoff_count = mx.intern(names::kHandoffCount);
-  mid_.handoff_hot = mx.intern(names::kHandoffHot);
-  mid_.handoff_cold = mx.intern(names::kHandoffCold);
-  mid_.archive_pruned = mx.intern(names::kArchivePruned);
-  mid_.churn_leaves = mx.intern(names::kChurnLeaves);
-  mid_.churn_rejoins = mx.intern(names::kChurnRejoins);
-  mid_.blackout_dropped = mx.intern(names::kBlackoutDropped);
-  mid_.blackout_uplink_lost = mx.intern(names::kBlackoutUplinkLost);
-  mid_.park_dropped = mx.intern(names::kParkDropped);
-  mid_.buf_wq_peak = mx.intern(names::kBufWqPeak);
-  mid_.buf_mq_peak = mx.intern(names::kBufMqPeak);
-  mid_.buf_archive_peak = mx.intern(names::kBufArchivePeak);
-  mid_.buf_submitlog_peak = mx.intern(names::kBufSubmitlogPeak);
 }
 
 // ---------------------------------------------------------------------------
@@ -346,7 +319,7 @@ void RingNetProtocol::submit(SourceState& src, proto::DataMsg msg) {
     if (src.parked.size() > config_.options.source_park_cap) {
       release_submit(src.parked.front());
       src.parked.pop_front();
-      sim_.metrics().incr(mid_.park_dropped);
+      sim_.metrics().incr(names::kParkDropped);
     }
     return;
   }
@@ -359,7 +332,7 @@ void RingNetProtocol::uplink_to_br(const proto::DataMsg& msg, NodeId mh) {
     // The radio cannot reach the AP and there is no end-to-end source ARQ:
     // the submission is lost outright — unlike downlink drops, nothing
     // ever repairs it, so it is counted separately from blackout.dropped.
-    sim_.metrics().incr(mid_.blackout_uplink_lost);
+    sim_.metrics().incr(names::kBlackoutUplinkLost);
     release_submit(msg);
     return;
   }
@@ -412,7 +385,7 @@ void RingNetProtocol::token_arrive(NodeId br, proto::OrderingToken token) {
   if (!lost_serials_.empty() && lost_serials_.count(token.serial()) != 0) {
     // The frame carrying this token was declared lost in transit
     // (lose_token): it never arrives anywhere.
-    sim_.metrics().incr(mid_.token_dropped);
+    sim_.metrics().incr(names::kTokenDropped);
     return;
   }
   BrNode& b = brs_[br.index()];
@@ -424,7 +397,7 @@ void RingNetProtocol::token_arrive(NodeId br, proto::OrderingToken token) {
   }
   if (token.serial() != active_token_serial_) {
     // Multiple-Token elimination: only the live lineage survives.
-    sim_.metrics().incr(mid_.token_dup_destroyed);
+    sim_.metrics().incr(names::kTokenDupDestroyed);
     sim_.trace().record(sim::TraceKind::TokenDestroy, sim_.now(), br,
                         token.epoch());
     return;
@@ -434,7 +407,7 @@ void RingNetProtocol::token_arrive(NodeId br, proto::OrderingToken token) {
   accept_token(token, br, br == alive_ring_.front());
   sim_.trace().record(sim::TraceKind::TokenPass, sim_.now(), br, token.epoch(),
                       token.rotation());
-  sim_.metrics().incr(mid_.token_held);
+  sim_.metrics().incr(names::kTokenHeld);
 
   // With the one shared ring the cross-group timestamp merge collapses to
   // gseq itself; the per-group seqs feed traces and accounting.
@@ -456,10 +429,10 @@ void RingNetProtocol::token_arrive(NodeId br, proto::OrderingToken token) {
   });
   if (!batch.empty()) {
     archive_peak_ = std::max(archive_peak_, archive_.size());
-    sim_.metrics().gauge_max(mid_.buf_archive_peak,
+    sim_.metrics().gauge_max(names::kBufArchivePeak,
                              static_cast<double>(archive_.size()));
     sim_.metrics().gauge_max(
-        mid_.buf_submitlog_peak,
+        names::kBufSubmitlogPeak,
         static_cast<double>(
             submit_log_peak_.load(std::memory_order_relaxed)));
     distribute(br, batch);
@@ -519,7 +492,7 @@ void RingNetProtocol::br_receive_ordered(NodeId br, const proto::DataMsg& msg) {
   if (!b.alive_) return;
   if (config_.options.ordered) {
     if (!b.mq_.store(msg, sim_.now())) return;  // duplicate
-    sim_.metrics().gauge_max(mid_.buf_mq_peak,
+    sim_.metrics().gauge_max(names::kBufMqPeak,
                              static_cast<double>(b.mq_.size()));
     // With no members there are no acks to drive pruning: advance the
     // retention window once enough arrivals pile up (amortized, so the
@@ -552,7 +525,7 @@ void RingNetProtocol::forward_down(NodeId br, const proto::DataMsg& msg) {
     if (cell_blacked_out(m.ap_)) {
       // The AP's radio is dark: the frame is dropped at the cell edge and
       // the member catches up via ack-driven resync after the window.
-      sim_.metrics().incr(mid_.blackout_dropped);
+      sim_.metrics().incr(names::kBlackoutDropped);
       continue;
     }
     const sim::SimTime delay = downlink_delay(mh, data_bytes());
@@ -587,7 +560,7 @@ void RingNetProtocol::forward_down_multi(NodeId br, const proto::DataMsg& msg) {
       }
       if (!m.attached_) continue;  // repaired via the chain-log resend
       if (cell_blacked_out(m.ap_)) {
-        sim_.metrics().incr(mid_.blackout_dropped);
+        sim_.metrics().incr(names::kBlackoutDropped);
         continue;
       }
       const sim::SimTime delay = downlink_delay(mh, data_bytes(copy));
@@ -606,7 +579,7 @@ void RingNetProtocol::mh_receive(NodeId mh, const proto::DataMsg& msg) {
   if (cell_blacked_out(m.ap_)) {
     // Covers frames (and ARQ resends) already in flight when the window
     // started, so blackout.dropped counts every frame the cell ate.
-    sim_.metrics().incr(mid_.blackout_dropped);
+    sim_.metrics().incr(names::kBlackoutDropped);
     return;
   }
   if (!config_.options.ordered) {
@@ -622,7 +595,7 @@ void RingNetProtocol::mh_receive(NodeId mh, const proto::DataMsg& msg) {
 void RingNetProtocol::deliver_at_mh(MhNode& node, const proto::DataMsg& msg) {
   ++node.delivered_;
   node.last_delivery_ = sim_.now();
-  sim_.metrics().incr(mid_.mh_delivered);
+  sim_.metrics().incr(names::kMhDelivered);
   sim_.trace().record(sim::TraceKind::Deliver, sim_.now(), node.id_, msg.gseq);
   if (migrate_) {
     // The submit stamp rides the message, so cross-domain deliveries never
@@ -707,7 +680,7 @@ void RingNetProtocol::ack_tick(NodeId mh, std::uint64_t gen) {
   if (cell_blacked_out(m.ap_)) return;  // the ack cannot leave the cell
   const NodeId br = ap_br_[m.ap_.index()];
   if (!br.valid() || !brs_[br.index()].alive_) return;
-  sim_.metrics().incr(mid_.acks_sent);
+  sim_.metrics().incr(names::kAcksSent);
   // The chain tail is a gseq+1 frontier in both modes, so the BR-side
   // watermark, floor and pruning math is shared between them.
   const GlobalSeq wm = m.inbox_.tail();
@@ -744,8 +717,8 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
       const GlobalSeq lost = m.inbox_.skip_to(
           vf, [&](const proto::DataMsg& d) { deliver_at_mh(m, d); });
       if (lost == 0) return;
-      sim_.metrics().incr(mid_.gaps_skipped);
-      sim_.metrics().incr(mid_.gap_skipped_msgs, lost);
+      sim_.metrics().incr(names::kGapsSkipped);
+      sim_.metrics().incr(names::kGapSkippedMsgs, lost);
       sim_.trace().record(sim::TraceKind::GapSkip, sim_.now(), mh, lost);
     });
     cursor = vf;
@@ -766,7 +739,7 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
       const proto::DataMsg* arch = archive_.find(g);
       if (!arch) continue;
       if (*archive_.stored_at(g) + grace > sim_.now()) continue;  // in flight
-      sim_.metrics().incr(mid_.retransmits);
+      sim_.metrics().incr(names::kRetransmits);
       const sim::SimTime delay =
           hop_delay(config_.hierarchy.wan,
                     net::link_key(arch->ordering_node, br), data_bytes());
@@ -789,7 +762,7 @@ void RingNetProtocol::br_receive_ack(NodeId br, NodeId mh,
     const proto::DataMsg* msg = b.mq_.find(g);
     if (!msg) continue;
     const sim::SimTime delay = downlink_delay(mh, data_bytes());
-    sim_.metrics().incr(mid_.retransmits);
+    sim_.metrics().incr(names::kRetransmits);
     sim_.after(delay, [this, mh, m = *msg] { mh_receive(mh, m); });
     if (++resent >= kResendWindow) break;
   }
@@ -816,7 +789,7 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
     if (b.mq_.stored_at(g)) continue;
     const proto::DataMsg* arch = archive_.find(g);
     if (!arch || *archive_.stored_at(g) + grace > sim_.now()) continue;
-    sim_.metrics().incr(mid_.retransmits);
+    sim_.metrics().incr(names::kRetransmits);
     const sim::SimTime d =
         hop_delay(config_.hierarchy.wan,
                   net::link_key(arch->ordering_node, br), data_bytes(*arch));
@@ -828,7 +801,7 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
   }
   ChainLog& chain = member_chain_[mh.index()];
   if (chain.ack(tail)) {
-    sim_.metrics().incr(mid_.gaps_skipped);
+    sim_.metrics().incr(names::kGapsSkipped);
     sim_.trace().record(sim::TraceKind::GapSkip, sim_.now(), mh, 1);
   }
   const std::size_t spliced = chain.resend(
@@ -845,13 +818,13 @@ void RingNetProtocol::br_receive_ack_multi(NodeId br, NodeId mh,
         const proto::DataMsg* from_mq = b.mq_.find(g);
         proto::DataMsg copy = from_mq ? *from_mq : *archive_.find(g);
         copy.prev_chain = link;
-        sim_.metrics().incr(mid_.retransmits);
+        sim_.metrics().incr(names::kRetransmits);
         const sim::SimTime delay = downlink_delay(mh, data_bytes(copy));
         sim_.after(delay, [this, mh, copy] { mh_receive(mh, copy); });
       });
   if (spliced > 0) {
-    sim_.metrics().incr(mid_.gaps_skipped);
-    sim_.metrics().incr(mid_.gap_skipped_msgs, spliced);
+    sim_.metrics().incr(names::kGapsSkipped);
+    sim_.metrics().incr(names::kGapSkippedMsgs, spliced);
   }
 }
 
@@ -876,8 +849,8 @@ void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
     // count is in gseqs, an overestimate of destined messages (holes for
     // other groups are counted too) — exact accounting would need the
     // pruned payloads back.
-    sim_.metrics().incr(mid_.gaps_skipped);
-    sim_.metrics().incr(mid_.gap_skipped_msgs, archive_front - tail);
+    sim_.metrics().incr(names::kGapsSkipped);
+    sim_.metrics().incr(names::kGapSkippedMsgs, archive_front - tail);
     sim_.trace().record(sim::TraceKind::GapSkip, sim_.now(), mh,
                         archive_front - tail);
   }
@@ -890,7 +863,7 @@ void RingNetProtocol::resync_member_multi(NodeId /*br*/, NodeId mh) {
     // Uncapped: the whole replay is in flight, so no entry may fall out.
     copy.prev_chain = chain.stamp(g, std::numeric_limits<std::size_t>::max());
     if (!m.attached_ || cell_blacked_out(m.ap_)) continue;
-    sim_.metrics().incr(mid_.retransmits);
+    sim_.metrics().incr(names::kRetransmits);
     const sim::SimTime delay = downlink_delay(mh, data_bytes(copy));
     sim_.after(mh_domain_[i], delay,
                [this, mh, copy] { mh_receive(mh, copy); });
@@ -947,7 +920,7 @@ void RingNetProtocol::advance_global_floor() {
     release_submit(msg);
     ++pruned;
   });
-  if (pruned > 0) sim_.metrics().incr(mid_.archive_pruned, pruned);
+  if (pruned > 0) sim_.metrics().incr(names::kArchivePruned, pruned);
 }
 
 void RingNetProtocol::release_submit(const proto::DataMsg& msg) {
@@ -994,11 +967,11 @@ void RingNetProtocol::membership_flush_tick(NodeId br) {
   events.swap(b.pending_membership_);
   for (const auto& ev : events) {
     b.view_.apply(ev.mh, ev.ap, ev.seq);
-    sim_.metrics().incr(mid_.membership_applied);
+    sim_.metrics().incr(names::kMembershipApplied);
   }
   if (alive_ring_.size() > 1) {
     const NodeId next = next_alive_br(br);
-    sim_.metrics().incr(mid_.membership_relayed);
+    sim_.metrics().incr(names::kMembershipRelayed);
     const sim::SimTime delay =
         hop_delay(config_.hierarchy.wan, net::link_key(br, next),
                   static_cast<std::uint32_t>(13 + 8 * events.size()));
@@ -1020,7 +993,7 @@ void RingNetProtocol::membership_relay(
   if (!b.alive_) return;
   for (const auto& ev : events) {
     b.view_.apply(ev.mh, ev.ap, ev.seq);
-    sim_.metrics().incr(mid_.membership_applied);
+    sim_.metrics().incr(names::kMembershipApplied);
   }
   visited.push_back(br);
   const NodeId next = next_alive_br(br);
@@ -1028,7 +1001,7 @@ void RingNetProtocol::membership_relay(
   if (std::find(visited.begin(), visited.end(), next) != visited.end()) {
     return;  // the batch has visited the whole (current) ring
   }
-  sim_.metrics().incr(mid_.membership_relayed);
+  sim_.metrics().incr(names::kMembershipRelayed);
   const sim::SimTime delay =
       hop_delay(config_.hierarchy.wan, net::link_key(br, next),
                 static_cast<std::uint32_t>(13 + 8 * events.size()));
@@ -1086,7 +1059,7 @@ void RingNetProtocol::handle_br_failure(NodeId dead) {
   if (pos == kNoRingPos) return;
   alive_ring_.erase(alive_ring_.begin() + static_cast<std::ptrdiff_t>(pos));
   rebuild_ring_index();
-  sim_.metrics().incr(mid_.ring_repairs);
+  sim_.metrics().incr(names::kRingRepairs);
   sim_.trace().record(sim::TraceKind::RingRepair, sim_.now(), dead,
                       alive_ring_.size());
   for (NodeId br : alive_ring_) {
@@ -1121,7 +1094,7 @@ void RingNetProtocol::rejoin_ring(NodeId br) {
   for (NodeId id : alive_ring_) {
     brs_[id.index()].last_hb_from_prev_ = sim_.now();
   }
-  sim_.metrics().incr(mid_.ring_rejoins);
+  sim_.metrics().incr(names::kRingRejoins);
   sim_.trace().record(sim::TraceKind::RingRepair, sim_.now(), br,
                       alive_ring_.size());
   // Members under the rejoined BR catch up on anything multicast while it
@@ -1142,7 +1115,7 @@ void RingNetProtocol::regenerate_token() {
   auto token = high_water_.token(kGroup, current_epoch_, active_token_serial_);
   const NodeId leader = leader_br();
   token_custodian_ = leader;
-  sim_.metrics().incr(mid_.token_regenerated);
+  sim_.metrics().incr(names::kTokenRegenerated);
   sim_.trace().record(sim::TraceKind::TokenRegen, sim_.now(), leader,
                       current_epoch_);
   sim_.after(sim::usecs(1),
@@ -1277,8 +1250,8 @@ sim::SimTime RingNetProtocol::begin_handoff(NodeId mh, NodeId target_ap) {
   detach_from_cell(m);
 
   const bool hot = ap_is_hot(target_ap, mh);
-  sim_.metrics().incr(mid_.handoff_count);
-  sim_.metrics().incr(hot ? mid_.handoff_hot : mid_.handoff_cold);
+  sim_.metrics().incr(names::kHandoffCount);
+  sim_.metrics().incr(hot ? names::kHandoffHot : names::kHandoffCold);
   sim_.trace().record(sim::TraceKind::Handoff, sim_.now(), mh, hot ? 1 : 0);
   return schedule_attach(m, target_ap, hot);
 }
@@ -1287,13 +1260,13 @@ void RingNetProtocol::detach_mh(NodeId mh) {
   MhNode& m = mhs_[mh.index()];
   if (!m.attached_) return;
   detach_from_cell(m);
-  sim_.metrics().incr(mid_.churn_leaves);
+  sim_.metrics().incr(names::kChurnLeaves);
 }
 
 void RingNetProtocol::reattach_mh(NodeId mh, NodeId ap) {
   MhNode& m = mhs_[mh.index()];
   if (m.attached_ || m.attach_pending_) return;
-  sim_.metrics().incr(mid_.churn_rejoins);
+  sim_.metrics().incr(names::kChurnRejoins);
   schedule_attach(m, ap, ap_is_hot(ap, mh));
 }
 
@@ -1483,7 +1456,7 @@ sim::SimTime RingNetProtocol::hop_delay(const net::ChannelModel& model,
   sim::SimTime d = model.one_way(bytes);
   const int budget = std::max(1, config_.options.max_retx);
   for (int attempt = 1; attempt < budget && lp.lost(sim_.rng()); ++attempt) {
-    sim_.metrics().incr(mid_.retransmits);
+    sim_.metrics().incr(names::kRetransmits);
     d += config_.options.retx_timeout + model.one_way(bytes);
   }
   return d;
@@ -1505,7 +1478,7 @@ sim::SimTime RingNetProtocol::downlink_delay(NodeId mh, std::uint32_t bytes) {
 
 void RingNetProtocol::note_wq_depth(const BrNode& br) {
   sim_.metrics().gauge_max(
-      mid_.buf_wq_peak,
+      names::kBufWqPeak,
       static_cast<double>(br.staging_.size() + br.wq_.size()));
 }
 

@@ -10,45 +10,23 @@ namespace ringnet::runtime {
 
 namespace names = obs::names;
 
-namespace {
-/// Rebuild the plain counter struct from a role's atomic registry. Safe
-/// live (relaxed reads) as well as post-stop.
-RuntimeCounters read_counters(const obs::Metrics& m,
-                              const RuntimeMetricIds& id) {
+RuntimeCounters RuntimeCounters::read(const obs::Metrics& m) {
   RuntimeCounters c;
-  c.tokens_held = m.counter(id.tokens_held);
-  c.token_regenerated = m.counter(id.token_regenerated);
-  c.token_dup_destroyed = m.counter(id.token_dup_destroyed);
-  c.token_retx = m.counter(id.token_retx);
-  c.token_dropped = m.counter(id.token_dropped);
-  c.retransmits = m.counter(id.retransmits);
-  c.floor_advances = m.counter(id.floor_advances);
-  c.duplicates = m.counter(id.duplicates);
-  c.acks_sent = m.counter(id.acks_sent);
-  c.uplink_retx = m.counter(id.uplink_retx);
-  c.uplink_dropped = m.counter(id.uplink_dropped);
-  c.really_lost = m.counter(id.really_lost);
-  c.gaps_skipped = m.counter(id.gaps_skipped);
-  c.malformed = m.counter(id.malformed);
+  c.tokens_held = m.counter(names::kTokenHeld);
+  c.token_regenerated = m.counter(names::kTokenRegenerated);
+  c.token_dup_destroyed = m.counter(names::kTokenDupDestroyed);
+  c.token_retx = m.counter(names::kTokenRetx);
+  c.token_dropped = m.counter(names::kTokenDropped);
+  c.retransmits = m.counter(names::kRetransmits);
+  c.floor_advances = m.counter(names::kFloorAdvances);
+  c.duplicates = m.counter(names::kDuplicates);
+  c.acks_sent = m.counter(names::kAcksSent);
+  c.uplink_retx = m.counter(names::kUplinkRetx);
+  c.uplink_dropped = m.counter(names::kUplinkDropped);
+  c.really_lost = m.counter(names::kGapSkippedMsgs);
+  c.gaps_skipped = m.counter(names::kGapsSkipped);
+  c.malformed = m.counter(names::kMalformed);
   return c;
-}
-}  // namespace
-
-void RuntimeMetricIds::intern_all(obs::Metrics& m) {
-  tokens_held = m.intern(names::kTokenHeld);
-  token_regenerated = m.intern(names::kTokenRegenerated);
-  token_dup_destroyed = m.intern(names::kTokenDupDestroyed);
-  token_retx = m.intern(names::kTokenRetx);
-  token_dropped = m.intern(names::kTokenDropped);
-  retransmits = m.intern(names::kRetransmits);
-  floor_advances = m.intern(names::kFloorAdvances);
-  duplicates = m.intern(names::kDuplicates);
-  acks_sent = m.intern(names::kAcksSent);
-  uplink_retx = m.intern(names::kUplinkRetx);
-  uplink_dropped = m.intern(names::kUplinkDropped);
-  really_lost = m.intern(names::kGapSkippedMsgs);
-  gaps_skipped = m.intern(names::kGapsSkipped);
-  malformed = m.intern(names::kMalformed);
 }
 
 namespace {
@@ -96,7 +74,6 @@ void RuntimeCounters::merge(const RuntimeCounters& o) {
 
 BrRuntime::BrRuntime(BrConfig cfg, Transport& tr)
     : cfg_(std::move(cfg)), tr_(tr) {
-  mid_.intern_all(metrics_);
   for (std::size_t i = 0; i < cfg_.members.size(); ++i) {
     Member m;
     m.ap = cfg_.member_ap[i];
@@ -105,10 +82,6 @@ BrRuntime::BrRuntime(BrConfig cfg, Transport& tr)
     }
     members_[cfg_.members[i].v] = std::move(m);
   }
-}
-
-RuntimeCounters BrRuntime::counters() const {
-  return read_counters(metrics_, mid_);
 }
 
 NodeId BrRuntime::next_br() const {
@@ -137,7 +110,7 @@ void BrRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
   if (d.kind == FrameKind::Control) {
     const auto ctl = decode_control(d.payload.data(), d.payload.size());
     if (!ctl) {
-      metrics_.incr(mid_.malformed);
+      metrics_.incr(names::kMalformed);
       return;
     }
     if (ctl->op == ControlOp::Start) start_seen_ = true;
@@ -152,7 +125,7 @@ void BrRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
 void BrRuntime::handle_proto(const Datagram& d, std::int64_t now_us) {
   auto msg = proto::decode(d.payload.data(), d.payload.size());
   if (!msg) {
-    metrics_.incr(mid_.malformed);
+    metrics_.incr(names::kMalformed);
     return;
   }
   switch (msg->type()) {
@@ -215,7 +188,7 @@ void BrRuntime::handle_proto(const Datagram& d, std::int64_t now_us) {
 void BrRuntime::handle_uplink(const proto::DataMsg& msg, std::int64_t now_us) {
   SourceIn& si = uplink_[msg.source.v];
   if (msg.lseq < si.next_expected) {
-    metrics_.incr(mid_.duplicates);
+    metrics_.incr(names::kDuplicates);
     ack_uplink(msg.source, si);
     return;
   }
@@ -237,10 +210,14 @@ void BrRuntime::handle_uplink(const proto::DataMsg& msg, std::int64_t now_us) {
     ack_uplink(msg.source, si);
     return;
   }
-  if (si.pending.size() >= kUplinkPendingCap) return;  // source ARQ re-offers
+  if (si.pending.size() >= kUplinkPendingCap &&
+      !si.pending.contains(msg.lseq)) {
+    metrics_.incr(names::kUplinkShed);  // the source's ARQ re-offers it
+    return;
+  }
   const auto [it, inserted] = si.pending.emplace(msg.lseq, msg);
   if (!inserted) {
-    metrics_.incr(mid_.duplicates);
+    metrics_.incr(names::kDuplicates);
   } else if (spans) {
     it->second.uplink_rx_at.us = now_us;
   }
@@ -272,7 +249,7 @@ void BrRuntime::store_and_forward_ordered(const proto::DataMsg& msg,
   // the token itself is crawling behind storm-deep inboxes.
   if (msg.epoch == epoch_) last_token_seen_us_ = now_us;
   if (!mq_.store(msg, sim::SimTime{now_us})) {
-    metrics_.incr(mid_.duplicates);
+    metrics_.incr(names::kDuplicates);
     return;
   }
   // Span stamp: first ordered arrival of this gseq at the relay endpoint
@@ -328,7 +305,7 @@ void BrRuntime::handle_token(proto::OrderingToken token, NodeId from,
       (last_rx_key_.valid && token.epoch() == last_rx_key_.epoch &&
        token.serial() == last_rx_key_.serial &&
        token.rotation() <= last_rx_key_.rotation)) {
-    metrics_.incr(mid_.token_dup_destroyed);
+    metrics_.incr(names::kTokenDupDestroyed);
     fr_.record(obs::FrEvent::TokenDupDestroyed, now_us, token.serial());
     return;
   }
@@ -344,7 +321,7 @@ void BrRuntime::accept_token(proto::OrderingToken token, std::int64_t now_us) {
   token_ = std::move(token);
   last_token_seen_us_ = now_us;
   await_.active = false;  // custody is back; any outstanding forward is moot
-  metrics_.incr(mid_.tokens_held);
+  metrics_.incr(names::kTokenHeld);
   fr_.record(obs::FrEvent::TokenRx, now_us, token_.serial(),
              token_.rotation());
   core::accept_token(token_, cfg_.self, leader());
@@ -381,7 +358,7 @@ void BrRuntime::release_token(std::int64_t now_us) {
 
 void BrRuntime::regenerate_token(std::int64_t now_us) {
   ++epoch_;
-  metrics_.incr(mid_.token_regenerated);
+  metrics_.incr(names::kTokenRegenerated);
   fr_.record(obs::FrEvent::TokenRegen, now_us, epoch_);  // arms an auto-dump
   accept_token(high_water_.token(kRuntimeGroup, epoch_, next_serial_++),
                now_us);
@@ -397,7 +374,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
     for (GlobalSeq g = ack.watermark; g < end; ++g) {
       if (const proto::DataMsg* m = mq_.find(g)) {
         tr_.send_msg(ack.member, proto::Message(*m));
-        metrics_.incr(mid_.retransmits);
+        metrics_.incr(names::kRetransmits);
       }
     }
     return;
@@ -421,7 +398,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
                  proto::Message(proto::DeliveryAckMsg{
                      kRuntimeGroup, ack.member, mq_.next_expected()}),
                  ack.member);
-    metrics_.incr(mid_.floor_advances);
+    metrics_.incr(names::kFloorAdvances);
     return;
   }
   bool pull_requested = false;
@@ -431,7 +408,7 @@ void BrRuntime::handle_member_ack(const proto::DeliveryAckMsg& ack,
   for (GlobalSeq g = want; g < end; ++g) {
     if (const proto::DataMsg* dm = mq_.find(g)) {
       tr_.send_msg(m.ap, proto::Message(*dm), ack.member);
-      metrics_.incr(mid_.retransmits);
+      metrics_.incr(names::kRetransmits);
       ++resent;
     } else if (!pull_requested &&
                now_us - last_pull_us_ >= cfg_.opts.retx_timeout_us) {
@@ -483,7 +460,7 @@ void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
   // predecessor the member can no longer receive (lost below the floor) is
   // relinked to the tail, so the member gap-skips straight to it.
   if (m.chain.ack(m.next_expected)) {
-    metrics_.incr(mid_.gaps_skipped);
+    metrics_.incr(names::kGapsSkipped);
     fr_.record(obs::FrEvent::ChainSplice, now_us, member.v, m.chain.head());
   }
   // Behind: unacked chain links, or a BR-side chain cursor short of the
@@ -516,11 +493,11 @@ void BrRuntime::handle_chain_ack(Member& m, NodeId member, GlobalSeq tail,
         proto::DataMsg copy = *mq_.find(g);
         copy.prev_chain = link;
         tr_.send_msg(m.ap, proto::Message(copy), member);
-        metrics_.incr(mid_.retransmits);
+        metrics_.incr(names::kRetransmits);
       });
   if (spliced > 0) {
-    metrics_.incr(mid_.gaps_skipped);
-    metrics_.incr(mid_.really_lost, spliced);
+    metrics_.incr(names::kGapsSkipped);
+    metrics_.incr(names::kGapSkippedMsgs, spliced);
   }
 }
 
@@ -536,11 +513,11 @@ void BrRuntime::on_tick(std::int64_t now_us) {
   if (await_.active && now_us >= await_.next_resend_us) {
     if (await_.attempts >= cfg_.opts.max_retx) {
       await_.active = false;
-      metrics_.incr(mid_.token_dropped);  // leader watchdog regenerates
+      metrics_.incr(names::kTokenDropped);  // leader watchdog regenerates
       fr_.record(obs::FrEvent::TokenDropped, now_us, await_.serial);
     } else {
       ++await_.attempts;
-      metrics_.incr(mid_.token_retx);
+      metrics_.incr(names::kTokenRetx);
       fr_.record(obs::FrEvent::TokenRetx, now_us, await_.serial,
                  static_cast<std::uint64_t>(await_.attempts));
       tr_.send(next_br(), await_.frame_bytes);
@@ -563,12 +540,7 @@ void BrRuntime::on_tick(std::int64_t now_us) {
 
 ApRuntime::ApRuntime(ApConfig cfg, Transport& tr)
     : cfg_(std::move(cfg)), tr_(tr), attached_(cfg_.attached) {
-  mid_.intern_all(metrics_);
   for (NodeId mh : attached_) attached_set_.insert(mh.v);
-}
-
-RuntimeCounters ApRuntime::counters() const {
-  return read_counters(metrics_, mid_);
 }
 
 void ApRuntime::on_start(std::int64_t now_us) {
@@ -580,7 +552,7 @@ void ApRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
   if (d.kind == FrameKind::Control) {
     const auto ctl = decode_control(d.payload.data(), d.payload.size());
     if (!ctl) {
-      metrics_.incr(mid_.malformed);
+      metrics_.incr(names::kMalformed);
       return;
     }
     if (ctl->op == ControlOp::Start) start_seen_ = true;
@@ -590,7 +562,7 @@ void ApRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
     return;
   }
   if (d.payload.empty()) {
-    metrics_.incr(mid_.malformed);
+    metrics_.incr(names::kMalformed);
     return;
   }
   // The AP is a store-less relay: it peeks the envelope tag to pick a
@@ -616,7 +588,7 @@ void ApRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
       if (!uplink) break;
       const auto msg = proto::decode(d.payload.data(), d.payload.size());
       if (!msg) {
-        metrics_.incr(mid_.malformed);
+        metrics_.incr(names::kMalformed);
         return;
       }
       for (const auto& ev : msg->membership().events) {
@@ -648,14 +620,9 @@ void ApRuntime::on_tick(std::int64_t now_us) {
 
 MhRuntime::MhRuntime(MhConfig cfg, Transport& tr)
     : cfg_(std::move(cfg)), tr_(tr) {
-  mid_.intern_all(metrics_);
   period_us_ = cfg_.rate_hz > 0
                    ? static_cast<std::int64_t>(1e6 / cfg_.rate_hz)
                    : 0;
-}
-
-RuntimeCounters MhRuntime::counters() const {
-  return read_counters(metrics_, mid_);
 }
 
 stats::Histogram MhRuntime::latency_hist() const {
@@ -678,7 +645,7 @@ void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
   if (d.kind == FrameKind::Control) {
     const auto ctl = decode_control(d.payload.data(), d.payload.size());
     if (!ctl) {
-      metrics_.incr(mid_.malformed);
+      metrics_.incr(names::kMalformed);
       return;
     }
     switch (ctl->op) {
@@ -698,7 +665,7 @@ void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
   }
   const auto msg = proto::decode(d.payload.data(), d.payload.size());
   if (!msg) {
-    metrics_.incr(mid_.malformed);
+    metrics_.incr(names::kMalformed);
     return;
   }
   switch (msg->type()) {
@@ -707,7 +674,7 @@ void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
           !inbox_.receive(msg->data(), [&](const proto::DataMsg& m) {
             deliver(m, now_us);
           })) {
-        metrics_.incr(mid_.duplicates);  // duplicate, or shed past the cap
+        metrics_.incr(names::kDuplicates);  // duplicate, or shed past the cap
       }
       break;
     case proto::MsgType::DeliveryAck: {
@@ -731,8 +698,8 @@ void MhRuntime::on_datagram(const Datagram& d, std::int64_t now_us) {
           ack.watermark,
           [&](const proto::DataMsg& m) { deliver(m, now_us); });
       if (lost > 0) {
-        metrics_.incr(mid_.really_lost, lost);
-        metrics_.incr(mid_.gaps_skipped);
+        metrics_.incr(names::kGapSkippedMsgs, lost);
+        metrics_.incr(names::kGapsSkipped);
         fr_.record(obs::FrEvent::GapSkip, now_us, ack.watermark, lost);
       }
       break;
@@ -799,7 +766,7 @@ void MhRuntime::submit_one(std::int64_t now_us) {
 void MhRuntime::send_ack() {
   tr_.send_msg(cfg_.ap, proto::Message(proto::DeliveryAckMsg{
                             kRuntimeGroup, cfg_.self, inbox_.tail()}));
-  metrics_.incr(mid_.acks_sent);
+  metrics_.incr(names::kAcksSent);
 }
 
 void MhRuntime::on_tick(std::int64_t now_us) {
@@ -816,7 +783,7 @@ void MhRuntime::on_tick(std::int64_t now_us) {
   while (!pending_.empty() && pending_.front().attempts >= cfg_.opts.max_retx &&
          now_us - pending_.front().last_send_us >= cfg_.opts.retx_timeout_us) {
     pending_.pop_front();
-    metrics_.incr(mid_.uplink_dropped);
+    metrics_.incr(names::kUplinkDropped);
   }
   std::size_t scanned = 0;
   for (auto& p : pending_) {
@@ -830,7 +797,7 @@ void MhRuntime::on_tick(std::int64_t now_us) {
       ++p.attempts;
       p.last_send_us = now_us;
       tr_.send_msg(cfg_.ap, proto::Message(p.msg));
-      metrics_.incr(mid_.uplink_retx);
+      metrics_.incr(names::kUplinkRetx);
       fr_.record(obs::FrEvent::UplinkRetx, now_us, p.msg.lseq,
                  static_cast<std::uint64_t>(p.attempts));
     }
@@ -853,9 +820,7 @@ void MhRuntime::on_tick(std::int64_t now_us) {
 // SsRuntime
 
 SsRuntime::SsRuntime(SsConfig cfg, Transport& tr)
-    : cfg_(std::move(cfg)), tr_(tr) {
-  mid_heartbeats_ = metrics_.intern(names::kSsHeartbeats);
-}
+    : cfg_(std::move(cfg)), tr_(tr) {}
 
 void SsRuntime::on_start(std::int64_t now_us) {
   next_bcast_us_ = now_us + cfg_.opts.handshake_resend_us;
@@ -889,7 +854,7 @@ void SsRuntime::on_datagram(const Datagram& d, std::int64_t /*now_us*/) {
   const auto msg = proto::decode(d.payload.data(), d.payload.size());
   if (msg && msg->type() == proto::MsgType::Heartbeat) {
     last_beat_[d.src.v] = msg->heartbeat().beat;
-    metrics_.incr(mid_heartbeats_);
+    metrics_.incr(names::kSsHeartbeats);
   }
 }
 

@@ -4,7 +4,9 @@
 // dump shape). The concurrent cases are the TSan regression net for the
 // registry's lock-free read path.
 
+#include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -58,8 +60,56 @@ TEST(metrics_slots_survive_chunk_growth) {
     ++seen;
     sum += c;
   });
-  CHECK_EQ(seen, std::size_t{301});
+  CHECK_EQ(seen, std::size_t{301} + obs::names::kCounterCount);
   CHECK_EQ(sum, std::uint64_t{302});
+}
+
+// Every well-known spelling is distinct: two handles under one name would
+// split one metric across two slots.
+constexpr bool counter_names_distinct() {
+  for (std::uint32_t i = 0; i < obs::names::kCounterCount; ++i) {
+    for (std::uint32_t j = i + 1; j < obs::names::kCounterCount; ++j) {
+      if (std::string_view{obs::names::kCounterNames[i]} ==
+          std::string_view{obs::names::kCounterNames[j]}) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+static_assert(counter_names_distinct());
+
+TEST(metrics_well_known_names_are_fixed_handles) {
+  obs::Metrics m;
+  for (std::uint32_t i = 0; i < obs::names::kCounterCount; ++i) {
+    CHECK_EQ(m.intern(obs::names::kCounterNames[i]), i);
+  }
+  for (int i = 0; i < 300; ++i) {
+    CHECK(m.intern("dyn." + std::to_string(i)) >= obs::names::kCounterCount);
+  }
+  for (std::uint32_t i = 0; i < obs::names::kCounterCount; ++i) {
+    CHECK_EQ(m.intern(obs::names::kCounterNames[i]), i);
+  }
+  // The handle and its spelling read and write one slot.
+  m.incr(obs::names::kRetransmits, 2);
+  m.incr(obs::names::kCounterNames[obs::names::kRetransmits]);
+  CHECK_EQ(m.counter(obs::names::kRetransmits), std::uint64_t{3});
+  CHECK_EQ(m.counter(obs::names::kCounterNames[obs::names::kRetransmits]),
+           std::uint64_t{3});
+  m.gauge_max(obs::names::kBufMqPeak, 5.0);
+  CHECK_NEAR(m.gauge(obs::names::kCounterNames[obs::names::kBufMqPeak]), 5.0,
+             1e-12);
+}
+
+TEST(metrics_for_each_counter_reports_each_well_known_name_once) {
+  obs::Metrics m;
+  m.incr("dyn.extra");
+  std::map<std::string, int> seen;
+  m.for_each_counter(
+      [&](const std::string& name, std::uint64_t, double) { ++seen[name]; });
+  CHECK_EQ(seen.size(), std::size_t{obs::names::kCounterCount} + 1);
+  for (const char* name : obs::names::kCounterNames) CHECK_EQ(seen[name], 1);
+  CHECK_EQ(seen["dyn.extra"], 1);
 }
 
 TEST(metrics_concurrent_intern_vs_incr) {
@@ -209,8 +259,9 @@ TEST(flight_recorder_dump_json_shape) {
 TEST(names_constants_are_namespaced) {
   // The RN008 lint forces core/runtime call sites through these constants;
   // sanity-pin a few so a rename cannot silently decouple sim and runtime.
-  const std::string held = obs::names::kTokenHeld;
-  const std::string delivered = obs::names::kMhDelivered;
+  const std::string held = obs::names::kCounterNames[obs::names::kTokenHeld];
+  const std::string delivered =
+      obs::names::kCounterNames[obs::names::kMhDelivered];
   CHECK_EQ(held, std::string{"token.held"});
   CHECK_EQ(delivered, std::string{"mh.delivered"});
   CHECK_EQ(std::string{obs::names::kMhLatencyUs},

@@ -759,6 +759,39 @@ TEST(br_mq_keeps_newest_window) {
   }
 }
 
+TEST(br_counts_uplinks_shed_at_reorder_cap) {
+  // One source's lseqs 1-4097 reach the BR with lseq 0 missing: the reorder
+  // buffer holds 4096 and sheds the 4097th. Once lseq 0 arrives the buffer
+  // drains, and the source's re-offer of 4097 is accepted, not a duplicate.
+  InProcNet net;
+  const auto br0 = NodeId::make(Tier::BR, 0);
+  const auto ss = NodeId{0x00FFFFFEu};
+  auto tr = net.attach(br0);
+  (void)net.attach(ss);
+  BrConfig cfg;
+  cfg.self = br0;
+  cfg.ss = ss;
+  cfg.ring = {br0};
+  BrRuntime br(cfg, *tr);
+  br.on_start(0);
+  const auto offer = [&br](LocalSeq lseq) {
+    proto::DataMsg m = ordered_data(0, NodeId{5}, lseq);
+    m.ordering_node = NodeId::invalid();
+    br.on_datagram(proto_datagram(proto::Message(m)), 50);
+  };
+  for (LocalSeq l = 1; l <= 4097; ++l) offer(l);
+  CHECK_EQ(br.metrics().counter("arq.uplink_shed"), std::uint64_t{1});
+  offer(4096);  // a re-offer of a buffered lseq is a duplicate, not shed
+  CHECK_EQ(br.metrics().counter("arq.uplink_shed"), std::uint64_t{1});
+  CHECK_EQ(br.counters().duplicates, 1u);
+  offer(0);
+  offer(4097);
+  CHECK_EQ(br.counters().duplicates, 1u);
+  offer(4097);  // now behind next_expected: accepted the first time
+  CHECK_EQ(br.counters().duplicates, 2u);
+  CHECK_EQ(br.metrics().counter("arq.uplink_shed"), std::uint64_t{1});
+}
+
 TEST(loopback_spans_capture_all_stages) {
   auto spec = tiny_spec();
   spec.opts.record_spans = true;

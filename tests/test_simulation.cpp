@@ -40,7 +40,7 @@ TEST(trace_filter) {
 }
 
 TEST(metrics_interned_handles_alias_string_keys) {
-  sim::Metrics m;
+  obs::Metrics m;
   const auto id = m.intern("hot.counter");
   CHECK_EQ(m.intern("hot.counter"), id);  // idempotent
   m.incr(id, 3);

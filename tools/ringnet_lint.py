@@ -10,8 +10,8 @@ Rules
 RN001 metrics-string-key
     No string-keyed Metrics mutation (`.incr("...")`, `.gauge_max("...")`)
     in core protocol code (include/core/, src/core/). The hot paths must
-    use MetricIds pre-interned at construction; the string overloads
-    rehash the name on every event. Cold end-of-run *reads*
+    use an obs::names handle; the string overloads hash the name on every
+    event. Cold end-of-run *reads*
     (`.counter("...")`) stay allowed, as does bench code (bench_micro
     measures the string-vs-interned gap on purpose).
 
@@ -72,6 +72,14 @@ RN009 token-mutator
     seed) exists once for the sim and the runtime; a second call site is a
     second copy of the ordering policy growing back.
 
+RN010 intern-on-product-path
+    No `intern(` / `intern_hist(` call in core, sim, runtime, or baseline
+    code. Every counter and gauge is declared once in obs/names.hpp, and
+    that declaration is its registry handle (`incr(names::kRetransmits)`),
+    so product code has nothing to intern; a call here is a handle mirror
+    growing back. obs/ itself, benches, and tests may intern free-form
+    names.
+
 Self-test
 ---------
 `--self-test` seeds one violation per rule in a scratch tree and fails
@@ -129,7 +137,7 @@ def check_metrics_string_key(root):
                 findings.append(Finding(
                     "RN001", rel(root, path), i,
                     f'string-keyed Metrics::{m.group(1)}() on a core path; '
-                    'intern a MetricId at construction instead'))
+                    'use an obs::names handle instead'))
     return findings
 
 
@@ -325,6 +333,30 @@ def check_token_mutator(root):
 
 
 # --------------------------------------------------------------------------
+# RN010: interning on a product path
+
+INTERN_CALL_RE = re.compile(r"\b(intern|intern_hist)\s*\(")
+
+RN010_DIRS = ("include/core", "src/core", "include/sim", "src/sim",
+              "include/runtime", "src/runtime", "include/baseline",
+              "src/baseline")
+
+
+def check_intern_on_product_path(root):
+    findings = []
+    for path in repo_files(root, RN010_DIRS):
+        for i, text in enumerate(open(path, encoding="utf-8"), 1):
+            m = INTERN_CALL_RE.search(text)
+            if m:
+                findings.append(Finding(
+                    "RN010", rel(root, path), i,
+                    f"Metrics::{m.group(1)}() on a product path; use the "
+                    "obs::names handle (declare a new counter once in "
+                    "obs/names.hpp)"))
+    return findings
+
+
+# --------------------------------------------------------------------------
 # RN005: header self-containment
 
 def check_header_self_containment(root, cxx):
@@ -365,6 +397,7 @@ def run_checks(root, cxx, with_headers=True):
     findings += check_hardcoded_group(root)
     findings += check_adhoc_metric_name(root)
     findings += check_token_mutator(root)
+    findings += check_intern_on_product_path(root)
     if with_headers:
         findings += check_header_self_containment(root, cxx)
     return findings
@@ -385,9 +418,9 @@ def self_test(cxx):
         # RN001: string-keyed mutation on a core path.
         write("src/core/bad_metrics.cpp",
               'void f(M& m) { m.metrics().incr("token.held"); }\n')
-        # Interned mutation and cold string reads must NOT fire.
+        # Handle mutation and cold string reads must NOT fire.
         write("src/core/good_metrics.cpp",
-              "void f(M& m) { m.incr(mid_.held); }\n"
+              "void f(M& m) { m.incr(names::kTokenHeld); }\n"
               'void g(M& m) { (void)m.counter("token.held"); }\n')
 
         # RN002: bare std::map in a core header; annotated one is fine.
@@ -454,6 +487,19 @@ def self_test(cxx):
         write("bench/ok_name.cpp",
               'void f(M& m) { m.intern("bench.freeform"); }\n')
 
+        # RN010: interning in sim engine code, histograms included; obs/
+        # (the registry itself), benches and tests must NOT fire.
+        for sub in ("src/sim", "src/obs"):
+            os.makedirs(os.path.join(tmp, sub))
+        write("src/sim/bad_intern.cpp",
+              "unsigned f(M& m, const S& n) { return m.intern(n); }\n")
+        write("src/core/bad_hist.cpp",
+              "void f(M* m) { h = m->intern_hist(names::kMhLatencyUs); }\n")
+        write("src/obs/ok_intern.cpp",
+              "unsigned f(M& m, const S& n) { return m.intern(n); }\n")
+        write("tests/ok_intern.cpp",
+              'void f(M& m) { m.intern("test.freeform"); }\n')
+
         # RN009: a token mutator in engine code; the shared token step and
         # benches/tests (which build tokens by hand) must NOT fire.
         write("src/runtime/bad_token.cpp",
@@ -467,11 +513,15 @@ def self_test(cxx):
         findings = run_checks(tmp, cxx)
         fired = {f.rule for f in findings}
         for rule in ("RN001", "RN002", "RN003", "RN004", "RN005", "RN006",
-                     "RN007", "RN008", "RN009"):
+                     "RN007", "RN008", "RN009", "RN010"):
             if rule not in fired:
                 failures.append(f"{rule} did not fire on its seeded "
                                 "violation")
         by_file = {(f.rule, os.path.basename(f.path)) for f in findings}
+        for rule, fname in (("RN010", "bad_intern.cpp"),
+                            ("RN010", "bad_hist.cpp")):
+            if (rule, fname) not in by_file:
+                failures.append(f"{rule} did not fire on {fname}")
         for rule, fname in (("RN001", "good_metrics.cpp"),
                             ("RN002", "good_map.hpp"),
                             ("RN003", "rng.hpp"),
@@ -484,7 +534,8 @@ def self_test(cxx):
                             ("RN008", "good_name.cpp"),
                             ("RN008", "ok_name.cpp"),
                             ("RN009", "ordering.hpp"),
-                            ("RN009", "ok_token.cpp")):
+                            ("RN009", "ok_token.cpp"),
+                            ("RN010", "ok_intern.cpp")):
             if (rule, fname) in by_file:
                 failures.append(f"{rule} false-positive on {fname}")
     if failures:
